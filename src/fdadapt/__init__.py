@@ -19,7 +19,6 @@ from .dataset import (
     detect_design,
     ingest_long_csv,
     make_dataset,
-    mean_obs_count,
     write_long_csv,
 )
 from .kernels import (
@@ -30,7 +29,6 @@ from .kernels import (
     get_kernel,
     kernel_abs_moment,
     lp_weights,
-    nw_presmooth,
 )
 from .regularity import (
     NOISE_CONSTANT,
@@ -43,10 +41,9 @@ from .regularity import (
     estimate_L2,
     estimate_noise,
     estimate_regularity,
-    estimate_theta,
     noise_k0,
     presmooth_matrix,
-    regularity_table,
+    regularity_at_anchors,
 )
 from .mean import (
     BandwidthGrid,
@@ -85,8 +82,10 @@ from .simulate import (
 from .evaluate import (
     ExperimentConfig,
     ExperimentReport,
+    Fit,
     empirical_cov_tilde,
     empirical_mean_tilde,
+    fit,
     ise_1d,
     ise_2d,
     rate_slope,
@@ -96,5 +95,3 @@ from .evaluate import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,21 +15,15 @@ import numpy as np
 
 from .dataset import EvalGrid, ingest_long_csv, write_long_csv
 from .errors import FdadaptError, ValidationError
-from .covariance import estimate_covariance
 from .evaluate import (
     ExperimentConfig,
+    fit,
     run_experiment,
     write_report_csv,
     write_summary_csv,
 )
-from .mean import BandwidthGrid, estimate_mean
-from .regularity import (
-    RegularitySchedule,
-    anchor_points,
-    estimate_noise,
-    estimate_regularity,
-    feasible_anchor_bounds,
-)
+from .mean import BandwidthGrid
+from .regularity import RegularitySchedule, regularity_at_anchors
 from .simulate import (
     DesignSpec,
     MeanFunction,
@@ -174,24 +168,32 @@ def _schedule_from_args(args, dataset):
     return RegularitySchedule(**kw)
 
 
-def _regularity_at_anchors(args, dataset, schedule, kernel):
-    lo, hi = feasible_anchor_bounds(schedule, lo=args.anchor_lo,
-                                    hi=args.anchor_hi)
-    anchors = anchor_points(args.anchors, lo=lo, hi=hi)
-    return [
-        estimate_regularity(dataset, t2, schedule, kernel=kernel)
-        for t2 in anchors
-    ]
+def _report_dropped(dropped):
+    for t2, exc in dropped:
+        print(f"fdadapt: dropped anchor {t2:.6g}: {exc}", file=sys.stderr)
+
+
+def _input_time(dataset, x, width=False):
+    """Map unit-interval times (or, with width, lengths) back to the
+    time units of the input file."""
+    if dataset.time_transform is None:
+        return x
+    offset, scale = dataset.time_transform
+    return x * scale if width else offset + x * scale
 
 
 def _cmd_regularity(args):
     dataset = ingest_long_csv(args.data, rescale=args.rescale)
-    schedule = _schedule_from_args(args, dataset)
-    regs = _regularity_at_anchors(args, dataset, schedule, args.kernel)
+    regs, dropped = regularity_at_anchors(
+        dataset, _schedule_from_args(args, dataset), args.anchors,
+        lo=args.anchor_lo, hi=args.anchor_hi, kernel=args.kernel,
+    )
+    _report_dropped(dropped)
     rows = []
     for r in regs:
         th12, _, th13 = r.theta_hats[r.delta_hat]
-        rows.append((r.anchor_t2, r.t1, r.t3, r.delta_hat,
+        t2, t1, t3 = _input_time(dataset, np.array([r.anchor_t2, r.t1, r.t3]))
+        rows.append((t2, t1, t3, r.delta_hat,
                      r.H_hat[r.delta_hat], r.alpha_hat, r.L2_hat,
                      th12, th13, r.retained_curves))
     _write_rows(args.out,
@@ -201,31 +203,37 @@ def _cmd_regularity(args):
     return 0
 
 
-def _bandwidth_grid_from_args(args, dataset, default):
+def _bandwidth_grid_from_args(args, default):
     h_min = args.h_min if args.h_min is not None else default.h_min
     h_max = args.h_max if args.h_max is not None else default.h_max
     count = args.h_count if args.h_count is not None else default.count
-    if h_min is None:
-        h_min = 1.0 / dataset.m_hat
     return BandwidthGrid(h_min=h_min, h_max=h_max, count=count)
+
+
+def _fit_from_args(args, dataset, mean_points, cov_points=None, **kw):
+    result = fit(dataset, mean_points, cov_points,
+                 schedule=_schedule_from_args(args, dataset),
+                 n_anchors=args.anchors, anchor_lo=args.anchor_lo,
+                 anchor_hi=args.anchor_hi, kernel=args.kernel,
+                 presmooth_kernel=args.presmooth_kernel, k0=args.k0,
+                 noise_mode=args.noise_mode, **kw)
+    _report_dropped(result.dropped)
+    return result
 
 
 def _cmd_mean(args):
     dataset = ingest_long_csv(args.data, rescale=args.rescale)
-    schedule = _schedule_from_args(args, dataset)
-    regs = _regularity_at_anchors(args, dataset, schedule,
-                                  args.presmooth_kernel)
-    grid = EvalGrid.make_uniform(args.grid)
-    noise = estimate_noise(dataset, grid.points, mode=args.noise_mode)
     spec = _bandwidth_grid_from_args(
-        args, dataset, BandwidthGrid.default_mean(dataset.m_hat)
+        args, BandwidthGrid.default_mean(dataset.m_hat)
     )
-    est = estimate_mean(dataset, grid, regs, noise, kernel=args.kernel,
-                        k0=args.k0, schedule=schedule, grid_spec=spec,
-                        use_moment_approx=args.moment_approx,
-                        presmooth_kernel=args.presmooth_kernel)
+    est = _fit_from_args(args, dataset,
+                         EvalGrid.make_uniform(args.grid).points,
+                         mean_bandwidths=spec,
+                         moment_approx=args.moment_approx).mean
+    ts = _input_time(dataset, est.points)
+    hs = _input_time(dataset, est.h_star, width=True)
     rows = [
-        (est.points[j], est.values[j], est.h_star[j], est.W_N[j],
+        (ts[j], est.values[j], hs[j], est.W_N[j],
          est.risk_bias[j], est.risk_var[j], est.risk_dropout[j])
         for j in range(est.points.size)
     ]
@@ -238,30 +246,22 @@ def _cmd_mean(args):
 
 def _cmd_cov(args):
     dataset = ingest_long_csv(args.data, rescale=args.rescale)
-    schedule = _schedule_from_args(args, dataset)
-    regs = _regularity_at_anchors(args, dataset, schedule,
-                                  args.presmooth_kernel)
-    mean_grid = EvalGrid.make_uniform(args.mean_grid)
-    noise = estimate_noise(dataset, mean_grid.points, mode=args.noise_mode)
-    mean_est = estimate_mean(dataset, mean_grid, regs, noise,
-                             kernel=args.kernel, k0=args.k0,
-                             schedule=schedule,
-                             presmooth_kernel=args.presmooth_kernel)
-    grid = EvalGrid.make_uniform(args.grid)
-    spec = _bandwidth_grid_from_args(args, dataset,
-                                     BandwidthGrid.default_cov())
-    surf = estimate_covariance(dataset, grid, grid, regs, noise, mean_est,
-                               kernel=args.kernel, k0=args.k0,
-                               schedule=schedule, grid_spec=spec,
-                               presmooth_kernel=args.presmooth_kernel,
-                               psd_project=args.psd_project)
+    spec = _bandwidth_grid_from_args(args, BandwidthGrid.default_cov())
+    surf = _fit_from_args(args, dataset,
+                          EvalGrid.make_uniform(args.mean_grid).points,
+                          EvalGrid.make_uniform(args.grid).points,
+                          cov_bandwidths=spec,
+                          psd_project=args.psd_project).cov
+    ss = _input_time(dataset, surf.grid_s)
+    ts = _input_time(dataset, surf.grid_t)
+    hs = _input_time(dataset, surf.h_star, width=True)
     rows = []
-    for i, s in enumerate(surf.grid_s):
-        for j, t in enumerate(surf.grid_t):
+    for i, s in enumerate(ss):
+        for j, t in enumerate(ts):
             rows.append((s, t, surf.gamma_values[i, j], surf.values[i, j],
-                         surf.h_star[i, j], surf.in_band[i, j],
-                         surf.W_N_pair[i, j]))
-    preamble = f"# d={surf.band_width_d!r} c={surf.band_exponent_c!r}"
+                         hs[i, j], surf.in_band[i, j], surf.W_N_pair[i, j]))
+    d = _input_time(dataset, surf.band_width_d, width=True)
+    preamble = f"# d={d!r} c={surf.band_exponent_c!r}"
     _write_rows(args.out,
                 ("s", "t", "gamma_hat", "Gamma_hat", "h_star", "in_band",
                  "W_N_pair"),

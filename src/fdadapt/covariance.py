@@ -473,14 +473,12 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
     )
 
 
-def diagonal_fill_error(true_cov, d, alpha=None):
+def diagonal_fill_error(true_cov, d):
     """Band-averaged squared error of boundary extension into the band.
 
     For each midpoint u the band value is taken from the boundary pair
     (u - d/2, u + d/2); the squared gap to the true covariance at
-    separations v in [0, d] is averaged over the band. alpha is the
-    regularity governing how this error scales with d and is accepted
-    for bookkeeping; the integral itself does not use it.
+    separations v in [0, d] is averaged over the band.
     """
     if not 0.0 < d < 1.0:
         raise ValidationError("band width d must lie in (0, 1)")

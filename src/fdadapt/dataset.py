@@ -120,11 +120,6 @@ def make_dataset(curves, design=None):
     return FunctionalDataset(curves=curves, design=design)
 
 
-def mean_obs_count(dataset):
-    """Average number of observations per curve."""
-    return dataset.m_hat
-
-
 @dataclass(frozen=True)
 class EvalGrid:
     """Sorted evaluation points inside the open unit interval."""

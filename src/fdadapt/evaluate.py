@@ -1,7 +1,7 @@
-"""Error metrics and the simulation experiment harness."""
+"""The shared fit pipeline, error metrics and the simulation experiment
+harness."""
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -12,23 +12,21 @@ from .errors import (
     EstimationError,
     ExperimentError,
     FdadaptError,
-    InsufficientDataError,
     ValidationError,
 )
-from .covariance import estimate_covariance
-from .mean import estimate_mean
+from .covariance import CovarianceSurface, estimate_covariance
+from .kernels import BIWEIGHT, EPANECHNIKOV
+from .mean import MeanEstimate, estimate_mean
 from .regularity import (
+    NOISE_CONSTANT,
+    NoiseEstimate,
     RegularitySchedule,
-    anchor_points,
     estimate_noise,
-    estimate_regularity,
-    feasible_anchor_bounds,
+    regularity_at_anchors,
 )
-from .simulate import sample_dataset, true_covariance
+from .simulate import DesignSpec, sample_dataset, true_covariance
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
-
-WORKERS_ENV = "FDA_ADAPT_WORKERS"
 
 
 def _grid_points(grid):
@@ -161,11 +159,61 @@ class ExperimentConfig:
         return f"{self.process.kind}-N{N}-m{m}"
 
 
+@dataclass(frozen=True)
+class Fit:
+    """One pass of the estimator chain over a dataset.
+
+    regularity holds the estimates at the kept anchors, dropped the
+    (anchor, error) pairs of the anchors left out; cov is None unless
+    covariance points were given.
+    """
+
+    regularity: tuple
+    dropped: tuple
+    noise: NoiseEstimate
+    mean: MeanEstimate
+    cov: CovarianceSurface = None
+
+
+def fit(dataset, mean_points, cov_points=None, *, schedule=None,
+        n_anchors=20, anchor_lo=0.05, anchor_hi=0.95, kernel=BIWEIGHT,
+        presmooth_kernel=EPANECHNIKOV, k0=2, noise_mode=NOISE_CONSTANT,
+        mean_bandwidths=None, cov_bandwidths=None, moment_approx=False,
+        psd_project=False):
+    """Regularity at anchors, noise, mean on mean_points and, when
+    cov_points is given, the covariance surface on cov_points squared.
+
+    Anchors whose regularity estimate fails are dropped and recorded;
+    EstimationError is raised only when every anchor fails. The noise
+    variance is estimated on mean_points. schedule defaults to
+    RegularitySchedule(m_hat), the bandwidth grids to the estimators'
+    defaults.
+    """
+    if schedule is None:
+        schedule = RegularitySchedule(m_hat=dataset.m_hat)
+    regs, dropped = regularity_at_anchors(
+        dataset, schedule, n_anchors, lo=anchor_lo, hi=anchor_hi,
+        kernel=presmooth_kernel,
+    )
+    noise = estimate_noise(dataset, mean_points, mode=noise_mode)
+    mean = estimate_mean(dataset, mean_points, regs, noise, kernel=kernel,
+                         k0=k0, schedule=schedule, grid_spec=mean_bandwidths,
+                         use_moment_approx=moment_approx,
+                         presmooth_kernel=presmooth_kernel)
+    cov = None
+    if cov_points is not None:
+        cov = estimate_covariance(dataset, cov_points, cov_points, regs,
+                                  noise, mean, kernel=kernel, k0=k0,
+                                  schedule=schedule, grid_spec=cov_bandwidths,
+                                  presmooth_kernel=presmooth_kernel,
+                                  psd_project=psd_project)
+    return Fit(regularity=regs, dropped=dropped, noise=noise,
+               mean=mean, cov=cov)
+
+
 def _run_one(payload):
     """One replication; returns a report row dict."""
     config, ci, rep, ss = payload
-    from .simulate import DesignSpec
-
     N, m = config.pairs[ci]
     row = {
         "config_id": config.config_id(ci),
@@ -187,57 +235,36 @@ def _run_one(payload):
         want_cov = "cov" in config.estimators
         cov_pts = (
             EvalGrid.make_uniform(config.cov_grid_n).points
-            if want_cov else np.empty(0)
+            if want_cov else None
         )
-        all_pts = np.union1d(mean_pts, cov_pts)
+        all_pts = np.union1d(mean_pts, cov_pts) if want_cov else mean_pts
         sampled = sample_dataset(config.process, design, config.noise, N, ss,
                                  eval_grid=all_pts)
-        ds = sampled.dataset
-        idx_mean = np.searchsorted(all_pts, mean_pts)
-
-        schedule = RegularitySchedule(m_hat=ds.m_hat)
-        lo, hi = feasible_anchor_bounds(schedule)
-        regs = []
-        for t2 in anchor_points(config.n_anchors, lo=lo, hi=hi):
-            # boundary anchors can run out of presmoothing support on
-            # sparse designs; drop them instead of losing the replicate
-            try:
-                regs.append(
-                    estimate_regularity(ds, t2, schedule,
-                                        kernel=config.presmooth_kernel)
-                )
-            except (InsufficientDataError, EstimationError):
-                continue
-        if not regs:
-            raise EstimationError(
-                "regularity estimation failed at every anchor"
-            )
-        noise_est = estimate_noise(ds, all_pts, mode=config.noise_mode)
-
-        mean_est = estimate_mean(ds, mean_pts, regs, noise_est,
-                                 kernel=config.kernel, k0=config.k0,
-                                 schedule=schedule,
-                                 presmooth_kernel=config.presmooth_kernel)
-        lat_mean = sampled.grid_latents[:, idx_mean]
-        mu_tilde = empirical_mean_tilde(lat_mean)
+        # boundary anchors can run out of presmoothing support on sparse
+        # designs; fit drops them instead of losing the replicate
+        result = fit(sampled.dataset, mean_pts, cov_pts,
+                     n_anchors=config.n_anchors, kernel=config.kernel,
+                     presmooth_kernel=config.presmooth_kernel, k0=config.k0,
+                     noise_mode=config.noise_mode)
+        mean_vals = result.mean.values
+        lat_mean = sampled.grid_latents[:, np.searchsorted(all_pts, mean_pts)]
         mu_true = config.process.mean_fn(mean_pts)
-        row["ise_mean_tilde"] = ise_1d(mean_est.values, mu_tilde, mean_pts)
-        row["ise_mean_true"] = ise_1d(mean_est.values, mu_true, mean_pts)
+        row["ise_mean_tilde"] = ise_1d(mean_vals,
+                                       empirical_mean_tilde(lat_mean),
+                                       mean_pts)
+        row["ise_mean_true"] = ise_1d(mean_vals, mu_true, mean_pts)
 
         if want_cov:
-            idx_cov = np.searchsorted(all_pts, cov_pts)
-            surf = estimate_covariance(ds, cov_pts, cov_pts, regs, noise_est,
-                                       mean_est, kernel=config.kernel,
-                                       k0=config.k0, schedule=schedule,
-                                       presmooth_kernel=config.presmooth_kernel)
-            lat_cov = sampled.grid_latents[:, idx_cov]
-            cov_tilde = empirical_cov_tilde(lat_cov)
+            cov_vals = result.cov.values
+            lat_cov = sampled.grid_latents[:, np.searchsorted(all_pts,
+                                                              cov_pts)]
             cov_true = true_covariance(config.process, cov_pts[:, None],
                                        cov_pts[None, :])
-            row["ise_cov_tilde"] = ise_2d(surf.values, cov_tilde,
+            row["ise_cov_tilde"] = ise_2d(cov_vals,
+                                          empirical_cov_tilde(lat_cov),
                                           cov_pts, cov_pts)
-            row["ise_cov_true"] = ise_2d(surf.values, cov_true,
-                                         cov_pts, cov_pts)
+            row["ise_cov_true"] = ise_2d(cov_vals, cov_true, cov_pts,
+                                         cov_pts)
     except FdadaptError as exc:
         row["failed"] = True
         row["error"] = f"{type(exc).__name__}: {exc}"
@@ -254,17 +281,7 @@ class ExperimentReport:
 
 
 def _resolve_workers(workers):
-    if workers is not None:
-        return max(int(workers), 1)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(int(env), 1)
-        except ValueError:
-            raise ValidationError(
-                f"{WORKERS_ENV} must be an integer, got {env!r}"
-            )
-    return 1
+    return 1 if workers is None else max(int(workers), 1)
 
 
 _METRICS = ("ise_mean_tilde", "ise_mean_true", "ise_cov_tilde",

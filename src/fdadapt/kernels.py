@@ -185,22 +185,3 @@ def lp_weights(curve, t, h, order, kernel, k0):
     """
     return lp_coefficient_weights(curve.times, t, h, order, kernel, k0, deriv=0)
 
-
-def nw_presmooth(curve, grid, h, kernel):
-    """Nadaraya-Watson values of one curve at many points.
-
-    ``grid`` may be an EvalGrid or a plain array of points. Points with
-    an empty smoothing window come back as NaN (undefined, not errors).
-    """
-    if h <= 0.0:
-        raise ValidationError("bandwidth h must be positive")
-    kernel = get_kernel(kernel)
-    pts = np.asarray(getattr(grid, "points", grid), dtype=float)
-    z = (curve.times[None, :] - pts[:, None]) / h
-    K = kernel(z)
-    s = K.sum(axis=1)
-    out = np.full(pts.shape, np.nan)
-    ok = s > 0.0
-    if np.any(ok):
-        out[ok] = (K[ok] @ curve.values) / s[ok]
-    return out

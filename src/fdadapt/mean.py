@@ -202,37 +202,12 @@ class RiskProfile:
     k0: int
 
 
-def _profile_for_k0(dataset, t, reg, noise, var_X_t, kernel, k0, hs, order,
-                    alpha_exp, c_bar1_override):
-    n_h = hs.size
-    term_b = np.full(n_h, INFINITE_RISK)
-    term_v = np.full(n_h, INFINITE_RISK)
-    term_d = np.full(n_h, INFINITE_RISK)
-    W_arr = np.zeros(n_h, dtype=int)
-    Nmu_arr = np.zeros(n_h)
-    N = dataset.n_curves
-    for j, h in enumerate(hs):
-        stats = inclusion_stats(dataset, t, h, order, kernel, k0, alpha_exp)
-        W_arr[j] = stats.W_N
-        Nmu_arr[j] = stats.N_mu
-        if stats.W_N == 0:
-            continue
-        b, v, d = mean_risk_terms(
-            stats, reg, noise, var_X_t, N, c_bar1=c_bar1_override
-        )
-        term_b[j], term_v[j], term_d[j] = b, v, d
-    total = term_b + term_v + term_d
-    return term_b, term_v, term_d, total, W_arr, Nmu_arr
-
-
 def select_mean_bandwidth(dataset, t, reg, noise, var_X_t, kernel, k0,
-                          grid_spec=None, use_moment_approx=False,
-                          optimize_k0=False):
+                          grid_spec=None, use_moment_approx=False):
     """Minimize the penalized risk over a log bandwidth grid.
 
-    Ties break toward the smaller bandwidth. With optimize_k0 the
-    inclusion threshold is searched over {order+1, ..., order+3} as
-    well. Raises when every grid bandwidth leaves all curves excluded.
+    Ties break toward the smaller bandwidth. Raises when every grid
+    bandwidth leaves all curves excluded.
     """
     kernel = get_kernel(kernel)
     if grid_spec is None:
@@ -240,32 +215,34 @@ def select_mean_bandwidth(dataset, t, reg, noise, var_X_t, kernel, k0,
     hs = grid_spec.values()
     order = min(int(math.floor(reg.alpha_hat)), MAX_ORDER)
     alpha_exp = 2.0 * reg.alpha_hat
-    base_k0 = max(k0, order + 1)
+    k0 = max(k0, order + 1)
     c_bar1_override = (
         kernel_abs_moment(kernel, alpha_exp) if use_moment_approx else None
     )
 
-    k0_candidates = (
-        range(base_k0, base_k0 + 3) if optimize_k0 else (base_k0,)
-    )
-    best = None
-    for k0_c in k0_candidates:
-        tb, tv, td, total, W_arr, Nmu_arr = _profile_for_k0(
-            dataset, t, reg, noise, var_X_t, kernel, k0_c, hs, order,
-            alpha_exp, c_bar1_override,
-        )
-        if not np.any(np.isfinite(total)):
+    n_h = hs.size
+    tb = np.full(n_h, INFINITE_RISK)
+    tv = np.full(n_h, INFINITE_RISK)
+    td = np.full(n_h, INFINITE_RISK)
+    W_arr = np.zeros(n_h, dtype=int)
+    Nmu_arr = np.zeros(n_h)
+    for j, h in enumerate(hs):
+        stats = inclusion_stats(dataset, t, h, order, kernel, k0, alpha_exp)
+        W_arr[j] = stats.W_N
+        Nmu_arr[j] = stats.N_mu
+        if stats.W_N == 0:
             continue
-        idx = int(np.argmin(total))
-        if best is None or total[idx] < best[0]:
-            best = (total[idx], idx, k0_c, tb, tv, td, total, W_arr, Nmu_arr)
-
-    if best is None:
+        tb[j], tv[j], td[j] = mean_risk_terms(
+            stats, reg, noise, var_X_t, dataset.n_curves,
+            c_bar1=c_bar1_override,
+        )
+    total = tb + tv + td
+    if not np.any(np.isfinite(total)):
         raise InsufficientDataError(
             f"no admissible bandwidth at t={t}: every grid value leaves "
             "all curves excluded"
         )
-    _, idx, k0_used, tb, tv, td, total, W_arr, Nmu_arr = best
+    idx = int(np.argmin(total))
 
     fact = math.factorial(int(math.floor(reg.alpha_hat)))
     h_star = float(hs[idx])
@@ -292,7 +269,7 @@ def select_mean_bandwidth(dataset, t, reg, noise, var_X_t, kernel, k0,
         q2_sq=float(noise.sigma2_max),
         q3_sq=float(var_X_t),
         order=order,
-        k0=k0_used,
+        k0=k0,
     )
 
 
@@ -322,8 +299,7 @@ class MeanEstimate:
 
 def estimate_mean(dataset, grid, reg_per_anchor, noise, kernel=BIWEIGHT,
                   k0=2, schedule=None, grid_spec=None,
-                  use_moment_approx=False, presmooth_kernel=EPANECHNIKOV,
-                  optimize_k0=False):
+                  use_moment_approx=False, presmooth_kernel=EPANECHNIKOV):
     """Adaptive mean on a grid.
 
     Bandwidths are solved at the regularity anchors and linearly
@@ -355,7 +331,6 @@ def estimate_mean(dataset, grid, reg_per_anchor, noise, kernel=BIWEIGHT,
             prof = select_mean_bandwidth(
                 dataset, anchor_ts[j], reg, noise, anchor_var[j], kernel,
                 k0, grid_spec=grid_spec, use_moment_approx=use_moment_approx,
-                optimize_k0=optimize_k0,
             )
         except InsufficientDataError:
             continue

@@ -94,30 +94,6 @@ def presmooth_matrix(dataset, points, h, kernel, d=0):
     return out
 
 
-def estimate_theta(dataset, d, s, t, schedule, kernel):
-    """Mean squared presmoothed increment between s and t.
-
-    Curves whose presmoothed value (or d-th derivative) is undefined at
-    either point are skipped; the average runs over the retained ones.
-    """
-    if not (0.0 < s < 1.0 and 0.0 < t < 1.0) or s == t:
-        raise ValidationError("need distinct s, t inside (0,1)")
-    if d > schedule.delta_max:
-        raise ValidationError("d exceeds schedule.delta_max")
-    P = presmooth_matrix(
-        dataset, [s, t], schedule.presmooth_bandwidth, kernel, d=d
-    )
-    ok = np.isfinite(P).all(axis=1)
-    retained = int(ok.sum())
-    if retained == 0:
-        raise InsufficientDataError(
-            f"no curve has defined presmoothed values at both {s} and {t}",
-            retained=0,
-        )
-    diff = P[ok, 1] - P[ok, 0]
-    return float(np.mean(diff * diff))
-
-
 def estimate_H(theta_13, theta_12):
     """Exponent from the ratio of outer to inner mean squared increments,
     clipped to [0.05, 1.0]."""
@@ -257,12 +233,29 @@ def feasible_anchor_bounds(schedule, lo=0.05, hi=0.95):
     return lo2, hi2
 
 
-def regularity_table(dataset, anchors, schedule, kernel):
-    """Regularity estimates at each anchor point."""
-    return [
-        estimate_regularity(dataset, float(a), schedule, kernel)
-        for a in np.asarray(anchors, dtype=float)
-    ]
+def regularity_at_anchors(dataset, schedule, n_anchors, lo=0.05, hi=0.95,
+                          kernel="epanechnikov"):
+    """Regularity at n_anchors points spread over the feasible part of
+    [lo, hi].
+
+    An anchor whose estimate raises EstimationError (too few curves
+    with defined presmoothed values, degenerate increments) is dropped.
+    Returns (estimates, dropped), dropped holding (anchor, error) pairs;
+    raises EstimationError only when every anchor fails.
+    """
+    lo, hi = feasible_anchor_bounds(schedule, lo=lo, hi=hi)
+    regs, dropped = [], []
+    for t2 in anchor_points(n_anchors, lo=lo, hi=hi):
+        try:
+            regs.append(estimate_regularity(dataset, t2, schedule, kernel))
+        except EstimationError as exc:
+            dropped.append((float(t2), exc))
+    if not regs:
+        raise EstimationError(
+            f"regularity estimation failed at all {len(dropped)} anchors; "
+            f"first error: {dropped[0][1]}"
+        )
+    return tuple(regs), tuple(dropped)
 
 
 def noise_k0(m_hat):

@@ -20,13 +20,11 @@ from fdadapt import (
     NoiseSpec,
     ProcessSpec,
     RegularitySchedule,
-    anchor_points,
     covariance_risk,
     diagonal_fill_error,
-    estimate_covariance,
-    estimate_mean,
     estimate_noise,
     estimate_regularity,
+    fit,
     inclusion_stats,
     kernel_abs_moment,
     lp_weights,
@@ -39,8 +37,6 @@ from fdadapt import (
     write_report_csv,
     write_summary_csv,
 )
-from fdadapt.errors import EstimationError, InsufficientDataError
-from fdadapt.regularity import feasible_anchor_bounds
 from scipy.integrate import quad
 
 
@@ -155,6 +151,7 @@ REGULARITY_CASES = [
 ]
 
 
+@pytest.mark.slow
 class TestCriterion03RegularityRecovery:
     @pytest.mark.parametrize(
         "label,spec,alpha", REGULARITY_CASES,
@@ -194,6 +191,7 @@ class TestCriterion04CommonDesignInclusion:
         print("criterion 4: 50 common-design selections all kept N curves")
 
 
+@pytest.mark.slow
 class TestCriterion05MeanRate:
     def test_criterion_05_ise_decreases_with_sample_size(self):
         config = ExperimentConfig(
@@ -221,24 +219,11 @@ def run_cov_rep(ss, grid, n_anchors=8, mean_grid_n=51):
     design = DesignSpec(kind="common", m_mean=200)
     noise_spec = NoiseSpec(kind="homoscedastic", sd=0.05)
     out = sample_dataset(spec, design, noise_spec, 200, ss)
-    ds = out.dataset
-    schedule = RegularitySchedule(m_hat=ds.m_hat)
-    lo, hi = feasible_anchor_bounds(schedule)
-    regs = []
-    for t2 in anchor_points(n_anchors, lo=lo, hi=hi):
-        try:
-            regs.append(estimate_regularity(ds, t2, schedule,
-                                            kernel="epanechnikov"))
-        except (InsufficientDataError, EstimationError):
-            continue
-    assert regs
     mean_pts = np.linspace(0.05, 0.95, mean_grid_n)
-    noise = estimate_noise(ds, mean_pts, mode="constant")
-    mean_est = estimate_mean(ds, mean_pts, regs, noise, schedule=schedule)
-    return estimate_covariance(ds, grid, grid, regs, noise, mean_est,
-                               schedule=schedule)
+    return fit(out.dataset, mean_pts, grid, n_anchors=n_anchors).cov
 
 
+@pytest.mark.slow
 class TestCriterion06CovariancePointwise:
     def test_criterion_06_brownian_point_value_and_exactness(self):
         seeds = np.random.SeedSequence(3307).spawn(100)

@@ -2,7 +2,20 @@ import hashlib
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose, assert_array_equal
 
+from fdadapt import (
+    DesignSpec,
+    EvalGrid,
+    NoiseSpec,
+    ProcessSpec,
+    RegularitySchedule,
+    fit,
+    ingest_long_csv,
+    regularity_at_anchors,
+    sample_dataset,
+    write_long_csv,
+)
 from fdadapt.cli import main
 
 
@@ -21,6 +34,32 @@ def data_csv(tmp_path_factory):
     ])
     assert rc == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def fou_csv(tmp_path_factory):
+    """fou data where one of 20 anchors has no curve with defined order-2
+    presmoothed values."""
+    path = tmp_path_factory.mktemp("fou") / "curves.csv"
+    sampled = sample_dataset(
+        ProcessSpec(kind="fou", a=1.0, rho=1.0),
+        DesignSpec(kind="independent", m_mean=40),
+        NoiseSpec(kind="homoscedastic", sd=0.05),
+        40,
+        np.random.SeedSequence(36),
+    )
+    write_long_csv(sampled.dataset, path)
+    return path
+
+
+def read_columns(path, skip=0):
+    """CSV columns by header name as float arrays, empty cells as NaN."""
+    lines = path.read_text().splitlines()[skip:]
+    rows = [line.split(",") for line in lines[1:]]
+    return {
+        name: np.array([float(r[k]) if r[k] else np.nan for r in rows])
+        for k, name in enumerate(lines[0].split(","))
+    }
 
 
 class TestSimulate:
@@ -160,6 +199,93 @@ class TestCov:
         c = float(frags["c"])
         assert 0.0 < d < 1.0
         assert 0.0 < c < 1.0
+
+
+class TestAnchorFailurePolicy:
+    @pytest.mark.parametrize("command", ["regularity", "mean", "cov"])
+    def test_failed_anchor_dropped_with_one_line(self, fou_csv, tmp_path,
+                                                 capsys, command):
+        out = tmp_path / "out.csv"
+        rc = main([command, "--data", str(fou_csv), "--anchors", "20",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 0
+        assert len([ln for ln in err.splitlines() if "dropped" in ln]) == 1
+        if command == "regularity":
+            assert len(out.read_text().splitlines()) == 1 + 19
+
+    def test_mean_matches_library_fit(self, fou_csv, tmp_path):
+        out = tmp_path / "mean.csv"
+        assert main(["mean", "--data", str(fou_csv), "--anchors", "20",
+                     "--out", str(out)]) == 0
+        want = fit(ingest_long_csv(fou_csv),
+                   EvalGrid.make_uniform(101).points, n_anchors=20)
+        assert len(want.dropped) == 1
+        assert_array_equal(read_columns(out)["mu_hat"], want.mean.values)
+
+
+class TestRescale:
+    """Times in [5, 15] come back in input units, not unit-interval time."""
+
+    @pytest.fixture(scope="class")
+    def shifted(self, data_csv, tmp_path_factory):
+        path = tmp_path_factory.mktemp("shifted") / "curves.csv"
+        lines = data_csv.read_text().splitlines()
+        out = [lines[0]]
+        for line in lines[1:]:
+            cid, t, y = line.split(",")
+            out.append(f"{cid},{5.0 + 10.0 * float(t)!r},{y}")
+        path.write_text("\n".join(out) + "\n")
+        ds = ingest_long_csv(path, rescale=True)
+        lo, hi = ds.time_transform[0], sum(ds.time_transform)
+        assert 4.0 < lo < 5.0 and 15.0 < hi < 16.0
+        return path, ds
+
+    def run(self, tmp_path, path, *argv):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--data", str(path), "--rescale",
+                     "--anchors", "6", "--out", str(out)]) == 0
+        return out
+
+    def test_regularity(self, shifted, tmp_path):
+        path, ds = shifted
+        offset, scale = ds.time_transform
+        cols = read_columns(self.run(tmp_path, path, "regularity"))
+        regs, _ = regularity_at_anchors(ds, RegularitySchedule(m_hat=ds.m_hat),
+                                        6)
+        for col, attr in (("t1", "t1"), ("t2", "anchor_t2"), ("t3", "t3")):
+            unit = np.array([getattr(r, attr) for r in regs])
+            assert_allclose(cols[col], offset + scale * unit, rtol=1e-14)
+        assert 5.0 < cols["t2"].min() and cols["t2"].max() < 15.0
+
+    def test_mean(self, shifted, tmp_path):
+        path, ds = shifted
+        offset, scale = ds.time_transform
+        cols = read_columns(self.run(tmp_path, path, "mean", "--grid", "31"))
+        grid = EvalGrid.make_uniform(31).points
+        assert_allclose(cols["t"], offset + scale * grid, rtol=1e-14)
+        want = fit(ds, grid, n_anchors=6).mean
+        assert_allclose(cols["h_star"], scale * want.h_star, rtol=1e-14)
+        assert_array_equal(cols["mu_hat"], want.values)
+
+    def test_cov(self, shifted, tmp_path):
+        path, ds = shifted
+        offset, scale = ds.time_transform
+        out = self.run(tmp_path, path, "cov", "--grid", "5",
+                       "--mean-grid", "21")
+        cols = read_columns(out, skip=1)
+        grid = EvalGrid.make_uniform(5).points
+        want = fit(ds, EvalGrid.make_uniform(21).points, grid,
+                   n_anchors=6).cov
+        assert_allclose(cols["s"], offset + scale * np.repeat(grid, 5),
+                        rtol=1e-14)
+        assert_allclose(cols["t"], offset + scale * np.tile(grid, 5),
+                        rtol=1e-14)
+        assert_allclose(cols["h_star"], scale * want.h_star.ravel(),
+                        rtol=1e-14)
+        head = out.read_text().splitlines()[0]
+        d = float(dict(p.split("=") for p in head[2:].split(" "))["d"])
+        assert_allclose(d, scale * want.band_width_d, rtol=1e-14)
 
 
 class TestConfigFile:

@@ -14,7 +14,6 @@ from fdadapt import (
     detect_design,
     ingest_long_csv,
     make_dataset,
-    mean_obs_count,
     write_long_csv,
 )
 
@@ -78,7 +77,6 @@ class TestFunctionalDataset:
         c2 = curve(1, [0.2, 0.4, 0.6, 0.8], [3.0, 4.0, 5.0, 6.0])
         ds = make_dataset([c1, c2])
         assert ds.m_hat == 3.0
-        assert mean_obs_count(ds) == 3.0
 
     def test_detects_common_design(self):
         t = [0.2, 0.5, 0.8]

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from fdadapt import (
+    CurveObservations,
     EstimationError,
     EvalGrid,
     ExperimentConfig,
@@ -14,8 +15,10 @@ from fdadapt import (
     ValidationError,
     empirical_cov_tilde,
     empirical_mean_tilde,
+    fit,
     ise_1d,
     ise_2d,
+    make_dataset,
     rate_slope,
     run_experiment,
     write_report_csv,
@@ -24,7 +27,6 @@ from fdadapt import (
 from fdadapt.evaluate import (
     REPORT_COLUMNS,
     SUMMARY_COLUMNS,
-    WORKERS_ENV,
     _fmt,
     _resolve_workers,
 )
@@ -177,21 +179,40 @@ class TestExperimentConfig:
         assert cfg.config_id(1) == "fbm-N30-m80"
 
 
+class TestFit:
+    def test_stages_match_request(self, rng):
+        from conftest import random_dataset
+
+        ds = random_dataset(rng, n_curves=20, n_lo=30, n_hi=40)
+        mean_pts = EvalGrid.make_uniform(21).points
+        result = fit(ds, mean_pts, n_anchors=4)
+        assert result.cov is None
+        assert len(result.regularity) + len(result.dropped) == 4
+        assert_allclose(result.mean.points, mean_pts)
+        assert result.noise.sigma2_grid.shape == mean_pts.shape
+        with_cov = fit(ds, mean_pts, mean_pts[::4], n_anchors=4)
+        assert with_cov.cov.values.shape == (6, 6)
+        np.testing.assert_array_equal(with_cov.mean.values,
+                                      result.mean.values)
+
+    def test_every_anchor_failing_raises(self):
+        times = np.linspace(0.05, 0.95, 30)
+        ds = make_dataset(
+            [CurveObservations(i, times, np.ones(30)) for i in range(5)]
+        )
+        with pytest.raises(EstimationError):
+            fit(ds, EvalGrid.make_uniform(11).points, n_anchors=2)
+
+
 class TestResolveWorkers:
-    def test_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "7")
+    def test_argument_wins(self):
         assert _resolve_workers(2) == 2
+        assert _resolve_workers(0) == 1
 
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        assert _resolve_workers(None) == 3
-        monkeypatch.delenv(WORKERS_ENV)
+    def test_none_means_one(self, monkeypatch):
+        # the worker count has no environment fallback
+        monkeypatch.setenv("FDA_ADAPT_WORKERS", "3")
         assert _resolve_workers(None) == 1
-
-    def test_bad_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "many")
-        with pytest.raises(ValidationError):
-            _resolve_workers(None)
 
 
 class TestRunExperiment:

@@ -16,7 +16,8 @@ from fdadapt import (
     get_kernel,
     kernel_abs_moment,
     lp_weights,
-    nw_presmooth,
+    make_dataset,
+    presmooth_matrix,
 )
 from fdadapt.kernels import lp_coefficient_weights
 
@@ -192,12 +193,18 @@ def test_weight_sum_property(seed, t, h, order):
 class TestNwPresmooth:
     def test_constant_curve_recovered(self, rng):
         times = np.sort(rng.uniform(0.05, 0.95, 30))
-        c = CurveObservations(0, times, np.full(30, 2.5))
+        ds = make_dataset(
+            [CurveObservations(i, times, np.full(30, 2.5)) for i in range(2)]
+        )
         grid = np.linspace(0.1, 0.9, 9)
-        got = nw_presmooth(c, grid, h=0.2, kernel=EPANECHNIKOV)
+        got = presmooth_matrix(ds, grid, 0.2, EPANECHNIKOV)
         assert_allclose(got, 2.5, rtol=1e-12)
 
     def test_empty_window_gives_nan(self):
-        c = CurveObservations(0, np.array([0.8, 0.9]), np.array([1.0, 2.0]))
-        got = nw_presmooth(c, np.array([0.1]), h=0.05, kernel=BIWEIGHT)
-        assert np.isnan(got[0])
+        ds = make_dataset([
+            CurveObservations(0, np.array([0.8, 0.9]), np.array([1.0, 2.0])),
+            CurveObservations(1, np.array([0.1, 0.9]), np.array([1.0, 2.0])),
+        ])
+        got = presmooth_matrix(ds, np.array([0.1]), 0.05, BIWEIGHT)
+        assert np.isnan(got[0, 0])
+        assert got[1, 0] == 1.0

@@ -233,20 +233,6 @@ class TestSelectMeanBandwidth:
                 grid_spec=BandwidthGrid(0.05, 0.4, count=10),
             )
 
-    def test_optimize_k0_never_worse(self, rng):
-        ds = common_dataset(rng, 10, 50)
-        reg = reg_stub(0.5, alpha=0.5, L2=1.0)
-        base = select_mean_bandwidth(
-            ds, 0.5, reg, noise_stub(0.05), 1.0, BIWEIGHT, 2
-        )
-        tuned = select_mean_bandwidth(
-            ds, 0.5, reg, noise_stub(0.05), 1.0, BIWEIGHT, 2,
-            optimize_k0=True,
-        )
-        assert tuned.k0 in (2, 3, 4)
-        assert (tuned.total[tuned.h_star_index]
-                <= base.total[base.h_star_index] + 1e-15)
-
     def test_moment_approx_changes_bias_constant(self, rng):
         ds = common_dataset(rng, 8, 40)
         reg = reg_stub(0.5, alpha=0.5, L2=1.0)

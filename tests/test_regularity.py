@@ -17,14 +17,13 @@ from fdadapt import (
     estimate_L2,
     estimate_noise,
     estimate_regularity,
-    estimate_theta,
     make_dataset,
     noise_k0,
     presmooth_matrix,
     sample_dataset,
 )
 from fdadapt.kernels import EPANECHNIKOV
-from fdadapt.regularity import feasible_anchor_bounds
+from fdadapt.regularity import feasible_anchor_bounds, regularity_at_anchors
 from fdadapt.simulate import NO_NOISE
 
 
@@ -95,11 +94,13 @@ class TestTheta:
         ]
         ds = make_dataset(curves)
         sched = RegularitySchedule(m_hat=50, presmooth_bandwidth=0.08)
-        s, t = 0.4, 0.6
-        got = estimate_theta(ds, 0, s, t, sched, EPANECHNIKOV)
-        P = presmooth_matrix(ds, [s, t], 0.08, EPANECHNIKOV)
-        want = np.mean((P[:, 1] - P[:, 0]) ** 2)
-        assert_allclose(got, want, rtol=1e-12)
+        est = estimate_regularity(ds, 0.5, sched, EPANECHNIKOV)
+        P = presmooth_matrix(ds, [est.t1, 0.5, est.t3], 0.08, EPANECHNIKOV)
+        want = [
+            np.mean((P[:, b] - P[:, a]) ** 2)
+            for a, b in ((0, 1), (1, 2), (0, 2))
+        ]
+        assert_allclose(est.theta_hats[0], want, rtol=1e-12)
 
     def test_no_retained_curve_raises(self):
         times = np.array([0.85, 0.9, 0.95])
@@ -107,7 +108,7 @@ class TestTheta:
         ds = make_dataset(curves)
         sched = RegularitySchedule(m_hat=30, presmooth_bandwidth=0.02)
         with pytest.raises(InsufficientDataError) as err:
-            estimate_theta(ds, 0, 0.1, 0.2, sched, EPANECHNIKOV)
+            estimate_regularity(ds, 0.15, sched, EPANECHNIKOV)
         assert err.value.retained == 0
 
 
@@ -165,6 +166,35 @@ class TestAnchors:
         margin = sched.delta_star / 4.0
         assert lo >= margin
         assert hi <= 1.0 - margin
+
+
+class TestRegularityAtAnchors:
+    def test_anchors_without_data_are_dropped(self):
+        # curves observed on (0.02, 0.6) only: anchors whose increment
+        # triple reaches past the data cannot be presmoothed
+        times = np.linspace(0.02, 0.6, 60)
+        rng = np.random.default_rng(3)
+        ds = make_dataset([
+            CurveObservations(i, times, rng.standard_normal(60))
+            for i in range(6)
+        ])
+        sched = RegularitySchedule(m_hat=ds.m_hat)
+        regs, dropped = regularity_at_anchors(ds, sched, 5)
+        assert len(regs) + len(dropped) == 5
+        assert regs and dropped
+        assert all(r.t3 < 0.6 for r in regs)
+        for t2, exc in dropped:
+            assert t2 > 0.6
+            assert isinstance(exc, InsufficientDataError)
+
+    def test_every_anchor_failing_raises(self):
+        ds = make_dataset([
+            CurveObservations(i, np.linspace(0.05, 0.95, 30), np.ones(30))
+            for i in range(5)
+        ])
+        sched = RegularitySchedule(m_hat=ds.m_hat)
+        with pytest.raises(EstimationError, match="all 2 anchors"):
+            regularity_at_anchors(ds, sched, 2)
 
 
 class TestNoise:
