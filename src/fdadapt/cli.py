@@ -168,9 +168,14 @@ def _schedule_from_args(args, dataset):
     return RegularitySchedule(**kw)
 
 
-def _report_dropped(dropped):
+def _report_dropped(dataset, dropped):
+    """One stderr line per dropped anchor, its time in input units; the
+    error text keeps unit-interval time, so that time is added too."""
     for t2, exc in dropped:
-        print(f"fdadapt: dropped anchor {t2:.6g}: {exc}", file=sys.stderr)
+        where = f"{_input_time(dataset, t2):.6g}"
+        if dataset.time_transform is not None:
+            where += f" (unit-interval {t2:.6g})"
+        print(f"fdadapt: dropped anchor {where}: {exc}", file=sys.stderr)
 
 
 def _input_time(dataset, x, width=False):
@@ -188,7 +193,7 @@ def _cmd_regularity(args):
         dataset, _schedule_from_args(args, dataset), args.anchors,
         lo=args.anchor_lo, hi=args.anchor_hi, kernel=args.kernel,
     )
-    _report_dropped(dropped)
+    _report_dropped(dataset, dropped)
     rows = []
     for r in regs:
         th12, _, th13 = r.theta_hats[r.delta_hat]
@@ -217,7 +222,7 @@ def _fit_from_args(args, dataset, mean_points, cov_points=None, **kw):
                  anchor_hi=args.anchor_hi, kernel=args.kernel,
                  presmooth_kernel=args.presmooth_kernel, k0=args.k0,
                  noise_mode=args.noise_mode, **kw)
-    _report_dropped(result.dropped)
+    _report_dropped(dataset, result.dropped)
     return result
 
 

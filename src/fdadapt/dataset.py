@@ -63,7 +63,8 @@ class FunctionalDataset:
 
     ``m_hat`` is the arithmetic mean of the curve lengths. The flat
     per-observation arrays built at construction time let point-wise
-    smoothing run as single vectorized passes over all curves.
+    smoothing run as single vectorized passes over all curves; the
+    time-sorted copy lets a window [t-h, t+h] be taken as one slice.
     """
 
     curves: tuple
@@ -76,6 +77,11 @@ class FunctionalDataset:
     values_flat: np.ndarray = field(init=False, repr=False)
     starts: np.ndarray = field(init=False, repr=False)
     lengths: np.ndarray = field(init=False, repr=False)
+    # time-sorted layout: every observation, ordered by time (ties keep
+    # curve order), with the index of the curve it belongs to
+    sorted_times: np.ndarray = field(init=False, repr=False)
+    sorted_values: np.ndarray = field(init=False, repr=False)
+    sorted_curve: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.curves = tuple(self.curves)
@@ -96,6 +102,10 @@ class FunctionalDataset:
         self.starts = np.concatenate(([0], np.cumsum(lengths)))
         self.times_flat = np.concatenate([c.times for c in self.curves])
         self.values_flat = np.concatenate([c.values for c in self.curves])
+        order = np.argsort(self.times_flat, kind="stable")
+        self.sorted_times = self.times_flat[order]
+        self.sorted_values = self.values_flat[order]
+        self.sorted_curve = np.repeat(np.arange(lengths.size), lengths)[order]
 
     @property
     def n_curves(self):

@@ -17,13 +17,23 @@ from .kernels import (
     BIWEIGHT,
     EPANECHNIKOV,
     MAX_ORDER,
+    SINGULAR_RTOL,
     get_kernel,
     kernel_abs_moment,
-    lp_coefficient_weights,
 )
 from .regularity import RegularitySchedule, presmooth_matrix
 
 INFINITE_RISK = math.inf
+
+_FACTORIALS = np.array(
+    [math.factorial(j) for j in range(MAX_ORDER + 1)], dtype=float
+)
+# per order p: the index j + k and the divisor j! k! of the entries of
+# the (p+1) x (p+1) local polynomial moment matrix
+_HANKEL = [np.add.outer(np.arange(p + 1), np.arange(p + 1))
+           for p in range(MAX_ORDER + 1)]
+_FACTORIAL_PAIRS = [np.outer(_FACTORIALS[: p + 1], _FACTORIALS[: p + 1])
+                    for p in range(MAX_ORDER + 1)]
 
 
 @dataclass(frozen=True)
@@ -77,22 +87,87 @@ class InclusionStats:
     xhat: np.ndarray
 
 
-def _stats_from_arrays(t, h, order, alpha, w, c1, c_alpha, maxw, xhat):
-    w = w.astype(bool)
-    W_N = int(w.sum())
-    c1 = np.where(w, c1, 0.0)
-    c_alpha = np.where(w, c_alpha, 0.0)
-    maxw = np.where(w, maxw, 0.0)
-    N_i = np.zeros_like(c1)
-    N_i[w] = 1.0 / maxw[w]
-    xhat = np.where(w, xhat, np.nan)
-    if W_N == 0:
-        N_mu = 0.0
-        C_bar1 = 0.0
-    else:
-        denom = float((c1[w] * maxw[w]).sum())
+def inclusion_stats(dataset, t, h, order, kernel, k0, alpha):
+    """Curve-inclusion flags and weight summaries at one (t, h).
+
+    One pass over the observations in [t-h, t+h], a slice of the
+    dataset's time-sorted layout, serves every polynomial order:
+    per-curve kernel moments give each curve's local polynomial system
+    (scaled as in lp_coefficient_weights), the non-degenerate systems
+    are solved as one batch and the weights are summed back per curve.
+    Order 0 is Nadaraya-Watson.
+    """
+    if h <= 0.0:
+        raise ValidationError("bandwidth h must be positive")
+    if not 0 <= order <= MAX_ORDER:
+        raise ValidationError(f"order must be in [0, {MAX_ORDER}]")
+    if k0 < order + 1:
+        raise ValidationError("k0 must be at least order + 1")
+    kernel = get_kernel(kernel)
+    n = dataset.n_curves
+
+    # the padded slice holds every observation of the window; z is
+    # sorted in it, so the exact rule |z| <= 1 of lp_coefficient_weights
+    # keeps a contiguous run of it
+    pad = 1e-9 * (abs(t) + h)
+    lo, hi = dataset.sorted_times.searchsorted((t - h - pad, t + h + pad))
+    z = (dataset.sorted_times[lo:hi] - t) / h
+    a, b = z.searchsorted(-1.0, "left"), z.searchsorted(1.0, "right")
+    z = z[a:b]
+    cid = dataset.sorted_curve[lo + a:lo + b]
+    y = dataset.sorted_values[lo + a:lo + b]
+    K = kernel(z)
+
+    # A[j, k] = sum K z^(j+k) / (j! k!) / (n_i h), j, k <= order
+    kz = [K]
+    for _ in range(2 * order):
+        kz.append(kz[-1] * z)
+    moments = np.array([np.bincount(cid, v, minlength=n) for v in kz])
+    cand = np.flatnonzero(np.bincount(cid, minlength=n) >= k0)
+    A = ((moments[:, cand] / (dataset.lengths[cand] * h)).T[:, _HANKEL[order]]
+         / _FACTORIAL_PAIRS[order])
+    eigs = np.linalg.eigvalsh(A)
+    good = (eigs[:, 0] > SINGULAR_RTOL * eigs[:, -1]) & (eigs[:, -1] > 0.0)
+    included = cand[good]
+    w = np.zeros(n, dtype=bool)
+    w[included] = True
+
+    # The value weights are r / sum r with r = K g(z), g(z) = sum_j
+    # coef[j] z^j, coef[j] = x_j / j!, x_0 = 1 and A[1:, 1:] x[1:] =
+    # -A[1:, 0], so that A x is a multiple of e_0: the weights of
+    # lp_coefficient_weights. At order 0 the system is empty (a batched
+    # solve of empty systems costs as much as a small real one), g = 1
+    # and the weights are exactly K / S, whose absolute sum is exactly
+    # one. coef stays zero on excluded curves, so they add nothing below.
+    coef = np.zeros((order + 1, n))
+    coef[0, included] = 1.0
+    if order:
+        A = A[good]
+        x = np.linalg.solve(A[:, 1:, 1:], -A[:, 1:, :1])[:, :, 0]
+        coef[1:, included] = (x / _FACTORIALS[1 : order + 1]).T
+    sum_r = (coef * moments[: order + 1]).sum(axis=0)
+    g = coef[order][cid]
+    for j in range(order - 1, -1, -1):
+        g = g * z + coef[j][cid]
+    r = K * g
+    ar = np.abs(r)
+    maxw = np.zeros(n)
+    np.maximum.at(maxw, cid, ar)
+    sums = np.array([
+        np.bincount(cid, ar, minlength=n),
+        np.bincount(cid, ar * np.abs(z) ** alpha, minlength=n),
+        maxw,
+        np.bincount(cid, r * y, minlength=n),
+    ])
+    excluded = ~w  # adds 1 to their zero denominators
+    c1, c_alpha, maxw, xhat = sums / (sum_r + excluded)
+    xhat[excluded] = np.nan
+    W_N = int(included.size)
+    N_mu = C_bar1 = 0.0
+    if W_N:
+        denom = float(c1 @ maxw)
         N_mu = W_N * W_N / denom if denom > 0.0 else 0.0
-        C_bar1 = float((c1[w] * c_alpha[w]).sum()) / W_N
+        C_bar1 = float(c1 @ c_alpha) / W_N
     return InclusionStats(
         t=float(t),
         h=float(h),
@@ -103,61 +178,11 @@ def _stats_from_arrays(t, h, order, alpha, w, c1, c_alpha, maxw, xhat):
         c1=c1,
         c_alpha=c_alpha,
         max_abs_w=maxw,
-        N_i=N_i,
+        N_i=w / (maxw + excluded),
         N_mu=N_mu,
         C_bar1=C_bar1,
         xhat=xhat,
     )
-
-
-def inclusion_stats(dataset, t, h, order, kernel, k0, alpha):
-    """Curve-inclusion flags and weight summaries at one (t, h).
-
-    Order 0 runs as one vectorized pass over the flat observation
-    arrays; higher orders fit each curve separately.
-    """
-    if h <= 0.0:
-        raise ValidationError("bandwidth h must be positive")
-    if k0 < order + 1:
-        raise ValidationError("k0 must be at least order + 1")
-    kernel = get_kernel(kernel)
-    n = dataset.n_curves
-
-    if order == 0:
-        seg = dataset.starts[:-1]
-        u = (dataset.times_flat - t) / h
-        K = kernel(u)
-        counts = np.add.reduceat((np.abs(u) <= 1.0).astype(float), seg)
-        S = np.add.reduceat(K, seg)
-        Kmax = np.maximum.reduceat(K, seg)
-        ca_raw = np.add.reduceat(K * np.abs(u) ** alpha, seg)
-        x_raw = np.add.reduceat(K * dataset.values_flat, seg)
-        w = (counts >= k0) & (S > 0.0)
-        safe = np.where(S > 0.0, S, 1.0)
-        # NW weights are K/S, so the absolute weight sum is exactly one
-        c1 = np.ones(n)
-        c_alpha = ca_raw / safe
-        maxw = Kmax / safe
-        xhat = x_raw / safe
-        return _stats_from_arrays(t, h, order, alpha, w, c1, c_alpha, maxw, xhat)
-
-    w = np.zeros(n, dtype=bool)
-    c1 = np.zeros(n)
-    c_alpha = np.zeros(n)
-    maxw = np.zeros(n)
-    xhat = np.full(n, np.nan)
-    for i, curve in enumerate(dataset.curves):
-        lw = lp_coefficient_weights(curve.times, t, h, order, kernel, k0)
-        if lw.degenerate:
-            continue
-        aw = np.abs(lw.weights)
-        z = np.abs((curve.times[lw.indices] - t) / h)
-        w[i] = True
-        c1[i] = aw.sum()
-        c_alpha[i] = (aw * z**alpha).sum()
-        maxw[i] = aw.max()
-        xhat[i] = lw.weights @ curve.values[lw.indices]
-    return _stats_from_arrays(t, h, order, alpha, w, c1, c_alpha, maxw, xhat)
 
 
 def mean_risk_terms(stats, reg, noise, var_X_t, N, c_bar1=None):

@@ -62,6 +62,16 @@ def read_columns(path, skip=0):
     }
 
 
+def shift_times(src, dst):
+    """Copy a long CSV with every time t mapped to 5 + 10 t."""
+    lines = src.read_text().splitlines()
+    out = [lines[0]]
+    for line in lines[1:]:
+        cid, t, y = line.split(",")
+        out.append(f"{cid},{5.0 + 10.0 * float(t)!r},{y}")
+    dst.write_text("\n".join(out) + "\n")
+
+
 class TestSimulate:
     def test_same_seed_same_bytes(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -230,12 +240,7 @@ class TestRescale:
     @pytest.fixture(scope="class")
     def shifted(self, data_csv, tmp_path_factory):
         path = tmp_path_factory.mktemp("shifted") / "curves.csv"
-        lines = data_csv.read_text().splitlines()
-        out = [lines[0]]
-        for line in lines[1:]:
-            cid, t, y = line.split(",")
-            out.append(f"{cid},{5.0 + 10.0 * float(t)!r},{y}")
-        path.write_text("\n".join(out) + "\n")
+        shift_times(data_csv, path)
         ds = ingest_long_csv(path, rescale=True)
         lo, hi = ds.time_transform[0], sum(ds.time_transform)
         assert 4.0 < lo < 5.0 and 15.0 < hi < 16.0
@@ -286,6 +291,38 @@ class TestRescale:
         head = out.read_text().splitlines()[0]
         d = float(dict(p.split("=") for p in head[2:].split(" "))["d"])
         assert_allclose(d, scale * want.band_width_d, rtol=1e-14)
+
+    def test_dropped_anchor_in_input_units(self, tmp_path, capsys):
+        # fou data on which, after rescaling, one of 20 anchors has no
+        # curve with defined order-1 presmoothed values
+        sampled = sample_dataset(
+            ProcessSpec(kind="fou", a=1.0, rho=1.0),
+            DesignSpec(kind="independent", m_mean=40),
+            NoiseSpec(kind="homoscedastic", sd=0.05),
+            40,
+            np.random.SeedSequence(44),
+        )
+        unit = tmp_path / "unit.csv"
+        write_long_csv(sampled.dataset, unit)
+        path = tmp_path / "curves.csv"
+        shift_times(unit, path)
+        ds = ingest_long_csv(path, rescale=True)
+        offset, scale = ds.time_transform
+        _, dropped = regularity_at_anchors(
+            ds, RegularitySchedule(m_hat=ds.m_hat), 20
+        )
+        assert len(dropped) == 1
+        t2 = dropped[0][0]
+        assert main(["regularity", "--data", str(path), "--rescale",
+                     "--anchors", "20", "--out", str(tmp_path / "o.csv")]) == 0
+        lines = [ln for ln in capsys.readouterr().err.splitlines()
+                 if "dropped anchor" in ln]
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            f"fdadapt: dropped anchor {offset + scale * t2:.6g} "
+            f"(unit-interval {t2:.6g}): "
+        )
+        assert 5.0 < float(lines[0].split()[3]) < 15.0
 
 
 class TestConfigFile:

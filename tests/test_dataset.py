@@ -72,6 +72,25 @@ class TestFunctionalDataset:
         assert_array_equal(ds.lengths, [2, 3])
         assert ds.n_curves == 2
 
+    @pytest.mark.parametrize("design", [DESIGN_INDEPENDENT, DESIGN_COMMON])
+    def test_time_sorted_layout(self, design):
+        rng = np.random.default_rng(3)
+        shared = [0.1, 0.35, 0.5, 0.9]
+        if design == DESIGN_COMMON:
+            times = [shared] * 4
+        else:
+            # 0.5 and 0.9 are shared by several curves
+            times = [shared, [0.2, 0.5], [0.05, 0.5, 0.7, 0.9, 0.95],
+                     [0.9]]
+        ds = make_dataset([curve(i, ts, rng.standard_normal(len(ts)))
+                           for i, ts in enumerate(times)])
+        assert ds.design == design
+        assert np.all(np.diff(ds.sorted_times) >= 0.0)
+        for i, c in enumerate(ds.curves):
+            mine = ds.sorted_curve == i
+            assert_array_equal(ds.sorted_times[mine], c.times)
+            assert_array_equal(ds.sorted_values[mine], c.values)
+
     def test_m_hat_is_average_count(self):
         c1 = curve(0, [0.1, 0.3], [1.0, 2.0])
         c2 = curve(1, [0.2, 0.4, 0.6, 0.8], [3.0, 4.0, 5.0, 6.0])

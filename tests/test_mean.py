@@ -20,7 +20,7 @@ from fdadapt import (
     mean_risk_terms,
     select_mean_bandwidth,
 )
-from fdadapt.kernels import lp_coefficient_weights
+from fdadapt.kernels import MAX_ORDER, lp_coefficient_weights
 from fdadapt.mean import plugin_variance
 
 
@@ -128,6 +128,103 @@ class TestInclusionStats:
             inclusion_stats(ds, 0.5, 0.0, 0, BIWEIGHT, 2, 1.0)
         with pytest.raises(ValidationError):
             inclusion_stats(ds, 0.5, 0.1, 1, BIWEIGHT, 1, 1.0)
+        with pytest.raises(ValidationError):
+            inclusion_stats(ds, 0.5, 0.1, -1, BIWEIGHT, 2, 1.0)
+        with pytest.raises(ValidationError):
+            inclusion_stats(ds, 0.5, 0.1, MAX_ORDER + 1, BIWEIGHT,
+                            MAX_ORDER + 2, 1.0)
+
+
+def jittered_curves(rng, n_curves, m_lo, m_hi, first_id=0):
+    """Curves on jittered regular grids: their windows hold enough evenly
+    spread points for well-conditioned fits up to MAX_ORDER."""
+    curves = []
+    for i in range(n_curves):
+        m = int(rng.integers(m_lo, m_hi + 1))
+        times = (np.arange(m) + 0.5 + rng.uniform(-0.3, 0.3, m)) / m
+        curves.append(
+            CurveObservations(first_id + i, times, rng.standard_normal(m))
+        )
+    return curves
+
+
+def edge_dataset(rng):
+    """Curves for the window (0.5, 0.25) that hit the edge cases.
+
+    Curve 0 has observations exactly at t - h and t + h. Curve 1 has
+    three points in the window, two of them on its edges: they count
+    toward k0 but carry zero biweight weight. Curve 2 has four points
+    in the window, two on its edges, so its order-2 moment matrix has
+    rank 2 and fails the singularity test while its order-1 fit does
+    not. Curve 3 has an empty window and curve 4 a single point in it.
+    """
+    fixed = [
+        np.linspace(0.25, 0.75, 11),
+        np.array([0.25, 0.5, 0.75]),
+        np.array([0.25, 0.5, 0.625, 0.75]),
+        np.array([0.05, 0.1, 0.9, 0.95]),
+        np.array([0.3, 0.9]),
+    ]
+    curves = [CurveObservations(i, ts, rng.standard_normal(ts.size))
+              for i, ts in enumerate(fixed)]
+    return make_dataset(curves + jittered_curves(rng, 6, 40, 80, 5))
+
+
+class TestInclusionStatsOracle:
+    """Every summary against a per-curve rebuild from
+    lp_coefficient_weights, at every polynomial order."""
+
+    @staticmethod
+    def check(ds, t, h, order, k0, alpha):
+        stats = inclusion_stats(ds, t, h, order, BIWEIGHT, k0, alpha)
+        for i, c in enumerate(ds.curves):
+            lw = lp_coefficient_weights(c.times, t, h, order, BIWEIGHT, k0)
+            assert stats.w[i] == (not lw.degenerate)
+            if lw.degenerate:
+                assert stats.c1[i] == stats.c_alpha[i] == 0.0
+                assert stats.max_abs_w[i] == 0.0
+                assert np.isnan(stats.xhat[i])
+                continue
+            aw = np.abs(lw.weights)
+            z = np.abs((c.times[lw.indices] - t) / h)
+            assert_allclose(stats.c1[i], aw.sum(), rtol=1e-12)
+            assert_allclose(stats.c_alpha[i], (aw * z**alpha).sum(),
+                            rtol=1e-12)
+            assert_allclose(stats.max_abs_w[i], aw.max(), rtol=1e-12)
+            assert_allclose(stats.xhat[i],
+                            lw.weights @ c.values[lw.indices], rtol=1e-10)
+        return stats
+
+    @pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+    def test_edge_cases(self, rng, order):
+        ds = edge_dataset(rng)
+        k0 = max(3, order + 1)
+        stats = self.check(ds, 0.5, 0.25, order, k0, 1.3)
+        assert stats.w[0] and stats.w[5:].all()
+        assert stats.w[1] == (order == 0)
+        assert stats.w[2] == (order <= 1)
+        assert not stats.w[3] and not stats.w[4]
+        if order == 2:
+            lw = lp_coefficient_weights(ds.curves[2].times, 0.5, 0.25, 2,
+                                        BIWEIGHT, k0)
+            assert lw.degenerate and lw.in_window >= k0
+
+    @pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+    def test_inner_and_clipped_windows(self, rng, order):
+        for _ in range(4):
+            ds = make_dataset(jittered_curves(rng, 8, 40, 80))
+            # the last two windows stick out of (0, 1)
+            for t, h in ((float(rng.uniform(0.3, 0.7)),
+                          float(rng.uniform(0.15, 0.3))),
+                         (0.1, 0.15), (0.9, 0.15)):
+                self.check(ds, t, h, order, order + 1,
+                           float(rng.uniform(0.5, 4.0)))
+
+    @pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+    def test_common_design(self, rng, order):
+        ds = common_dataset(rng, 6, 50)
+        stats = self.check(ds, 0.5, 0.2, order, order + 1, 1.1)
+        assert stats.W_N == 6
 
 
 class TestMeanRisk:
