@@ -330,8 +330,8 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
     def mu_at(x):
         return float(np.interp(x, mean_pts, mean_vals))
 
-    h_pre = schedule.presmooth_bandwidth
-    P_lat = presmooth_matrix(dataset, lattice, h_pre, presmooth_kernel)
+    P_lat = presmooth_matrix(dataset, lattice, schedule.presmooth_bandwidth,
+                             presmooth_kernel)
 
     lat_stats = []
     lat_m2 = np.zeros(LATTICE_SIZE)
@@ -362,16 +362,6 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
                 H_lat[l, k] = prof.h_star
     H_lat = _fill_lattice_nan(H_lat)
 
-    pre_cache = {}
-
-    def presmooth_col(x):
-        key = round(float(x), 12)
-        if key not in pre_cache:
-            col = presmooth_matrix(dataset, np.array([x]), h_pre,
-                                   presmooth_kernel)[:, 0]
-            pre_cache[key] = col
-        return pre_cache[key]
-
     def eval_pair(a, b):
         """Off-band evaluation at the canonical pair a < b."""
         reg_a = _nearest(regs, anchor_ts, a)
@@ -385,11 +375,8 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
             h = 0.5 * abs(b - a) * (1.0 - 1e-9)
             if h < hs[0]:
                 return math.nan, math.nan, h, 0
-        sa = inclusion_stats(dataset, a, h, order_a, kernel,
-                             max(k0, order_a + 1), 2.0 * reg_a.alpha_hat)
-        sb = inclusion_stats(dataset, b, h, order_b, kernel,
-                             max(k0, order_b + 1), 2.0 * reg_b.alpha_hat)
-        ps = combine_pair_stats(sa, sb)
+        ps = pair_inclusion_stats(dataset, a, b, h, order_a, order_b, kernel,
+                                  k0, reg_a.alpha_hat, reg_b.alpha_hat)
         if ps.W_pair == 0:
             return math.nan, math.nan, h, 0
         gamma = ps.gamma_hat
@@ -404,18 +391,13 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
             pair_cache[key] = eval_pair(a, b)
         return pair_cache[key]
 
-    boundary_cache = {}
-
     def eval_in_band(s, t):
         """Value at the band boundary sharing the midpoint of (s, t)."""
         u = 0.5 * (s + t)
         margin = 0.5 * d_band + 1e-9
         u = min(max(u, margin), 1.0 - margin)
-        key = round(u, 12)
-        if key not in boundary_cache:
-            boundary_cache[key] = eval_pair_cached(u - 0.5 * d_band,
-                                                   u + 0.5 * d_band)
-        gamma_b, value_b, h, W = boundary_cache[key]
+        gamma_b, value_b, h, W = eval_pair_cached(u - 0.5 * d_band,
+                                                  u + 0.5 * d_band)
         if math.isnan(value_b):
             return math.nan, math.nan, h, W
         gamma = value_b + mu_at(s) * mu_at(t)

@@ -61,10 +61,9 @@ class CurveObservations:
 class FunctionalDataset:
     """N curves plus design metadata; treated as immutable once built.
 
-    ``m_hat`` is the arithmetic mean of the curve lengths. The flat
-    per-observation arrays built at construction time let point-wise
-    smoothing run as single vectorized passes over all curves; the
-    time-sorted copy lets a window [t-h, t+h] be taken as one slice.
+    ``m_hat`` is the arithmetic mean of the curve lengths. The
+    time-sorted copy of all observations built at construction time
+    lets a window [t-h, t+h] be taken as one slice for every curve.
     """
 
     curves: tuple
@@ -72,10 +71,9 @@ class FunctionalDataset:
     m_hat: float = field(init=False)
     time_transform: tuple = None
 
-    # flat layout: curve i occupies slots starts[i]:starts[i+1]
+    # flat layout: the curves' observations one curve after another
     times_flat: np.ndarray = field(init=False, repr=False)
     values_flat: np.ndarray = field(init=False, repr=False)
-    starts: np.ndarray = field(init=False, repr=False)
     lengths: np.ndarray = field(init=False, repr=False)
     # time-sorted layout: every observation, ordered by time (ties keep
     # curve order), with the index of the curve it belongs to
@@ -99,7 +97,6 @@ class FunctionalDataset:
         lengths = np.array([len(c) for c in self.curves], dtype=np.intp)
         self.m_hat = float(lengths.sum()) / len(self.curves)
         self.lengths = lengths
-        self.starts = np.concatenate(([0], np.cumsum(lengths)))
         self.times_flat = np.concatenate([c.times for c in self.curves])
         self.values_flat = np.concatenate([c.values for c in self.curves])
         order = np.argsort(self.times_flat, kind="stable")

@@ -17,23 +17,13 @@ from .kernels import (
     BIWEIGHT,
     EPANECHNIKOV,
     MAX_ORDER,
-    SINGULAR_RTOL,
+    _window_lp_weights,
     get_kernel,
     kernel_abs_moment,
 )
 from .regularity import RegularitySchedule, presmooth_matrix
 
 INFINITE_RISK = math.inf
-
-_FACTORIALS = np.array(
-    [math.factorial(j) for j in range(MAX_ORDER + 1)], dtype=float
-)
-# per order p: the index j + k and the divisor j! k! of the entries of
-# the (p+1) x (p+1) local polynomial moment matrix
-_HANKEL = [np.add.outer(np.arange(p + 1), np.arange(p + 1))
-           for p in range(MAX_ORDER + 1)]
-_FACTORIAL_PAIRS = [np.outer(_FACTORIALS[: p + 1], _FACTORIALS[: p + 1])
-                    for p in range(MAX_ORDER + 1)]
 
 
 @dataclass(frozen=True)
@@ -90,66 +80,13 @@ class InclusionStats:
 def inclusion_stats(dataset, t, h, order, kernel, k0, alpha):
     """Curve-inclusion flags and weight summaries at one (t, h).
 
-    One pass over the observations in [t-h, t+h], a slice of the
-    dataset's time-sorted layout, serves every polynomial order:
-    per-curve kernel moments give each curve's local polynomial system
-    (scaled as in lp_coefficient_weights), the non-degenerate systems
-    are solved as one batch and the weights are summed back per curve.
-    Order 0 is Nadaraya-Watson.
+    Every curve's local polynomial value weights come from one pass over
+    the observations in [t-h, t+h] (kernels._window_lp_weights) and are
+    summed back per curve. Order 0 is Nadaraya-Watson.
     """
-    if h <= 0.0:
-        raise ValidationError("bandwidth h must be positive")
-    if not 0 <= order <= MAX_ORDER:
-        raise ValidationError(f"order must be in [0, {MAX_ORDER}]")
-    if k0 < order + 1:
-        raise ValidationError("k0 must be at least order + 1")
-    kernel = get_kernel(kernel)
+    w, cid, z, y, r, sum_r = _window_lp_weights(dataset, t, h, order,
+                                                 kernel, k0)
     n = dataset.n_curves
-
-    # the padded slice holds every observation of the window; z is
-    # sorted in it, so the exact rule |z| <= 1 of lp_coefficient_weights
-    # keeps a contiguous run of it
-    pad = 1e-9 * (abs(t) + h)
-    lo, hi = dataset.sorted_times.searchsorted((t - h - pad, t + h + pad))
-    z = (dataset.sorted_times[lo:hi] - t) / h
-    a, b = z.searchsorted(-1.0, "left"), z.searchsorted(1.0, "right")
-    z = z[a:b]
-    cid = dataset.sorted_curve[lo + a:lo + b]
-    y = dataset.sorted_values[lo + a:lo + b]
-    K = kernel(z)
-
-    # A[j, k] = sum K z^(j+k) / (j! k!) / (n_i h), j, k <= order
-    kz = [K]
-    for _ in range(2 * order):
-        kz.append(kz[-1] * z)
-    moments = np.array([np.bincount(cid, v, minlength=n) for v in kz])
-    cand = np.flatnonzero(np.bincount(cid, minlength=n) >= k0)
-    A = ((moments[:, cand] / (dataset.lengths[cand] * h)).T[:, _HANKEL[order]]
-         / _FACTORIAL_PAIRS[order])
-    eigs = np.linalg.eigvalsh(A)
-    good = (eigs[:, 0] > SINGULAR_RTOL * eigs[:, -1]) & (eigs[:, -1] > 0.0)
-    included = cand[good]
-    w = np.zeros(n, dtype=bool)
-    w[included] = True
-
-    # The value weights are r / sum r with r = K g(z), g(z) = sum_j
-    # coef[j] z^j, coef[j] = x_j / j!, x_0 = 1 and A[1:, 1:] x[1:] =
-    # -A[1:, 0], so that A x is a multiple of e_0: the weights of
-    # lp_coefficient_weights. At order 0 the system is empty (a batched
-    # solve of empty systems costs as much as a small real one), g = 1
-    # and the weights are exactly K / S, whose absolute sum is exactly
-    # one. coef stays zero on excluded curves, so they add nothing below.
-    coef = np.zeros((order + 1, n))
-    coef[0, included] = 1.0
-    if order:
-        A = A[good]
-        x = np.linalg.solve(A[:, 1:, 1:], -A[:, 1:, :1])[:, :, 0]
-        coef[1:, included] = (x / _FACTORIALS[1 : order + 1]).T
-    sum_r = (coef * moments[: order + 1]).sum(axis=0)
-    g = coef[order][cid]
-    for j in range(order - 1, -1, -1):
-        g = g * z + coef[j][cid]
-    r = K * g
     ar = np.abs(r)
     maxw = np.zeros(n)
     np.maximum.at(maxw, cid, ar)
@@ -162,7 +99,7 @@ def inclusion_stats(dataset, t, h, order, kernel, k0, alpha):
     excluded = ~w  # adds 1 to their zero denominators
     c1, c_alpha, maxw, xhat = sums / (sum_r + excluded)
     xhat[excluded] = np.nan
-    W_N = int(included.size)
+    W_N = int(np.count_nonzero(w))
     N_mu = C_bar1 = 0.0
     if W_N:
         denom = float(c1 @ maxw)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError, InsufficientDataError, ValidationError
-from .kernels import get_kernel, lp_coefficient_weights
+from .kernels import _window_lp_weights
 
 H_CLIP_LO = 0.05
 H_CLIP_HI = 1.0
@@ -61,36 +61,20 @@ def presmooth_matrix(dataset, points, h, kernel, d=0):
     """Presmoothed curve values (or d-th derivatives) at given points.
 
     Returns an (N, P) array with NaN where a curve's estimate is
-    undefined. d=0 is Nadaraya-Watson over all observations in the
-    window; d>=1 extracts the d-th derivative from an order-(d+1)
-    local polynomial fit (degenerate fits yield NaN).
+    undefined. d=0 is Nadaraya-Watson; d>=1 extracts the d-th
+    derivative from an order-(d+1) local polynomial fit. Both take the
+    window [p-h, p+h] of kernels._window_lp_weights; a curve with fewer
+    than order + 1 points in it or a degenerate fit yields NaN.
     """
-    kernel = get_kernel(kernel)
     pts = np.asarray(points, dtype=float)
     n = dataset.n_curves
     out = np.full((n, pts.size), np.nan)
-
-    if d == 0:
-        tf = dataset.times_flat
-        vf = dataset.values_flat
-        seg = dataset.starts[:-1]
-        for j, p in enumerate(pts):
-            K = kernel((tf - p) / h)
-            s = np.add.reduceat(K, seg)
-            num = np.add.reduceat(K * vf, seg)
-            ok = s > 0.0
-            out[ok, j] = num[ok] / s[ok]
-        return out
-
-    order = d + 1
-    k0 = order + 1
-    for i, curve in enumerate(dataset.curves):
-        for j, p in enumerate(pts):
-            lw = lp_coefficient_weights(
-                curve.times, p, h, order, kernel, k0, deriv=d
-            )
-            if not lw.degenerate:
-                out[i, j] = lw.weights @ curve.values[lw.indices]
+    order = d + 1 if d else 0
+    for j, p in enumerate(pts):
+        w, cid, _, y, r, norm = _window_lp_weights(
+            dataset, p, h, order, kernel, order + 1, deriv=d
+        )
+        out[w, j] = np.bincount(cid, r * y, minlength=n)[w] / norm[w]
     return out
 
 

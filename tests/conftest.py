@@ -25,6 +25,19 @@ def random_dataset(rng, n_curves=5, n_lo=5, n_hi=30):
     )
 
 
+def jittered_curves(rng, n_curves, m_lo, m_hi, first_id=0):
+    """Curves on jittered regular grids: their windows hold enough evenly
+    spread points for well-conditioned fits up to MAX_ORDER."""
+    curves = []
+    for i in range(n_curves):
+        m = int(rng.integers(m_lo, m_hi + 1))
+        times = (np.arange(m) + 0.5 + rng.uniform(-0.3, 0.3, m)) / m
+        curves.append(
+            CurveObservations(first_id + i, times, rng.standard_normal(m))
+        )
+    return curves
+
+
 def constant_dataset(levels, times):
     """Noiseless curves that are constant in time."""
     times = np.asarray(times, dtype=float)

@@ -68,7 +68,6 @@ class TestFunctionalDataset:
         ds = make_dataset([c1, c2])
         assert_array_equal(ds.times_flat, [0.1, 0.3, 0.2, 0.4, 0.6])
         assert_array_equal(ds.values_flat, [1.0, 2.0, 3.0, 4.0, 5.0])
-        assert_array_equal(ds.starts, [0, 2, 5])
         assert_array_equal(ds.lengths, [2, 3])
         assert ds.n_curves == 2
 

@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import constant_dataset, noise_stub, random_dataset, reg_stub
+from conftest import (
+    constant_dataset,
+    jittered_curves,
+    noise_stub,
+    random_dataset,
+    reg_stub,
+)
 from numpy.testing import assert_allclose
 
 from fdadapt import (
@@ -133,19 +139,6 @@ class TestInclusionStats:
         with pytest.raises(ValidationError):
             inclusion_stats(ds, 0.5, 0.1, MAX_ORDER + 1, BIWEIGHT,
                             MAX_ORDER + 2, 1.0)
-
-
-def jittered_curves(rng, n_curves, m_lo, m_hi, first_id=0):
-    """Curves on jittered regular grids: their windows hold enough evenly
-    spread points for well-conditioned fits up to MAX_ORDER."""
-    curves = []
-    for i in range(n_curves):
-        m = int(rng.integers(m_lo, m_hi + 1))
-        times = (np.arange(m) + 0.5 + rng.uniform(-0.3, 0.3, m)) / m
-        curves.append(
-            CurveObservations(first_id + i, times, rng.standard_normal(m))
-        )
-    return curves
 
 
 def edge_dataset(rng):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import jittered_curves
 from numpy.testing import assert_allclose
 
 from fdadapt import (
@@ -22,7 +23,7 @@ from fdadapt import (
     presmooth_matrix,
     sample_dataset,
 )
-from fdadapt.kernels import EPANECHNIKOV
+from fdadapt.kernels import EPANECHNIKOV, lp_coefficient_weights
 from fdadapt.regularity import feasible_anchor_bounds, regularity_at_anchors
 from fdadapt.simulate import NO_NOISE
 
@@ -82,6 +83,58 @@ class TestPresmooth:
         ds = make_dataset(curves)
         P = presmooth_matrix(ds, [0.5], 0.2, EPANECHNIKOV, d=1)
         assert_allclose(P[:, 0], 3.0, rtol=1e-8)
+
+    @staticmethod
+    def check(ds, points, h, d):
+        """Every cell against a per-curve lp_coefficient_weights rebuild."""
+        got = presmooth_matrix(ds, points, h, EPANECHNIKOV, d=d)
+        order = d + 1 if d else 0
+        want = np.full(got.shape, np.nan)
+        for i, c in enumerate(ds.curves):
+            for j, p in enumerate(points):
+                lw = lp_coefficient_weights(c.times, p, h, order, EPANECHNIKOV,
+                                            order + 1, deriv=d)
+                if not lw.degenerate:
+                    want[i, j] = lw.weights @ c.values[lw.indices]
+        assert_allclose(got, want, rtol=1e-10)
+        return got
+
+    @pytest.mark.parametrize("d", range(4))
+    def test_matches_lp_weights_inner_and_clipped(self, rng, d):
+        for _ in range(3):
+            ds = make_dataset(jittered_curves(rng, 8, 40, 80))
+            # the first and last windows stick out of (0, 1)
+            pts = np.concatenate(([0.05], rng.uniform(0.2, 0.8, 5), [0.95]))
+            got = self.check(ds, pts, 0.15, d)
+            assert np.isfinite(got).all()
+
+    @pytest.mark.parametrize("d", range(4))
+    def test_sparse_empty_and_singular_windows(self, rng, d):
+        # window (0.5, 0.25): curve 0 holds d + 1 points, one short of
+        # the k0 = d + 2 of an order-(d+1) fit (enough for d = 0); curve
+        # 1 holds none; curve 2 holds d + 2 points, two of them on the
+        # edges with zero weight, so its moment matrix is singular
+        outside = [0.05, 0.1, 0.9, 0.95]
+        fixed = [
+            np.sort(np.concatenate((outside, np.linspace(0.4, 0.6, d + 1)))),
+            np.array(outside),
+            np.concatenate(([0.25], np.linspace(0.4, 0.6, d), [0.75])),
+        ]
+        curves = [CurveObservations(i, ts, rng.standard_normal(ts.size))
+                  for i, ts in enumerate(fixed)]
+        ds = make_dataset(curves + jittered_curves(rng, 5, 40, 80, 3))
+        got = self.check(ds, [0.5], 0.25, d)
+        assert np.isnan(got[0, 0]) == (d > 0)
+        assert np.isnan(got[1:3, 0]).all()
+        assert np.isfinite(got[3:, 0]).all()
+
+    @pytest.mark.parametrize("d", range(4))
+    def test_common_design_with_tied_times(self, rng, d):
+        times = jittered_curves(rng, 1, 60, 60)[0].times
+        ds = make_dataset([CurveObservations(i, times, rng.standard_normal(60))
+                           for i in range(6)])
+        got = self.check(ds, [0.1, 0.5, 0.8], 0.2, d)
+        assert np.isfinite(got).all()
 
 
 class TestTheta:
