@@ -52,6 +52,7 @@ from .mean import (
     RiskProfile,
     estimate_mean,
     inclusion_stats,
+    inclusion_stats_over_grid,
     mean_risk,
     mean_risk_terms,
     select_mean_bandwidth,

@@ -164,7 +164,8 @@ def _schedule_from_args(args, dataset):
     if getattr(args, "delta_max", None) is not None:
         kw["delta_max"] = args.delta_max
     if getattr(args, "presmooth_bandwidth", None) is not None:
-        kw["presmooth_bandwidth"] = args.presmooth_bandwidth
+        kw["presmooth_bandwidth"] = _unit_width(dataset,
+                                                args.presmooth_bandwidth)
     return RegularitySchedule(**kw)
 
 
@@ -176,6 +177,14 @@ def _report_dropped(dataset, dropped):
         if dataset.time_transform is not None:
             where += f" (unit-interval {t2:.6g})"
         print(f"fdadapt: dropped anchor {where}: {exc}", file=sys.stderr)
+
+
+def _unit_width(dataset, x):
+    """A length given in the input file's time units, in unit-interval
+    time."""
+    if dataset.time_transform is None:
+        return x
+    return x / dataset.time_transform[1]
 
 
 def _input_time(dataset, x, width=False):
@@ -208,9 +217,12 @@ def _cmd_regularity(args):
     return 0
 
 
-def _bandwidth_grid_from_args(args, default):
-    h_min = args.h_min if args.h_min is not None else default.h_min
-    h_max = args.h_max if args.h_max is not None else default.h_max
+def _bandwidth_grid_from_args(args, dataset, default):
+    """--h-min and --h-max are in input time units."""
+    h_min = (_unit_width(dataset, args.h_min) if args.h_min is not None
+             else default.h_min)
+    h_max = (_unit_width(dataset, args.h_max) if args.h_max is not None
+             else default.h_max)
     count = args.h_count if args.h_count is not None else default.count
     return BandwidthGrid(h_min=h_min, h_max=h_max, count=count)
 
@@ -229,7 +241,7 @@ def _fit_from_args(args, dataset, mean_points, cov_points=None, **kw):
 def _cmd_mean(args):
     dataset = ingest_long_csv(args.data, rescale=args.rescale)
     spec = _bandwidth_grid_from_args(
-        args, BandwidthGrid.default_mean(dataset.m_hat)
+        args, dataset, BandwidthGrid.default_mean(dataset.m_hat)
     )
     est = _fit_from_args(args, dataset,
                          EvalGrid.make_uniform(args.grid).points,
@@ -251,7 +263,8 @@ def _cmd_mean(args):
 
 def _cmd_cov(args):
     dataset = ingest_long_csv(args.data, rescale=args.rescale)
-    spec = _bandwidth_grid_from_args(args, BandwidthGrid.default_cov())
+    spec = _bandwidth_grid_from_args(args, dataset,
+                                     BandwidthGrid.default_cov())
     surf = _fit_from_args(args, dataset,
                           EvalGrid.make_uniform(args.mean_grid).points,
                           EvalGrid.make_uniform(args.grid).points,

@@ -17,7 +17,13 @@ from scipy.integrate import dblquad
 
 from .errors import EstimationError, InsufficientDataError, ValidationError
 from .kernels import BIWEIGHT, EPANECHNIKOV, MAX_ORDER, get_kernel
-from .mean import BandwidthGrid, InclusionStats, inclusion_stats, plugin_variance
+from .mean import (
+    BandwidthGrid,
+    InclusionStats,
+    inclusion_stats,
+    inclusion_stats_over_grid,
+    plugin_variance,
+)
 from .regularity import RegularitySchedule, presmooth_matrix
 
 INFINITE_RISK = math.inf
@@ -160,15 +166,6 @@ def _pair_profile(s, t, hs, stats_s_per_h, stats_t_per_h, reg_s, reg_t,
     )
 
 
-def _coord_stats_over_grid(dataset, coord, hs, order, kernel, k0, alpha):
-    k0_eff = max(k0, order + 1)
-    return [
-        inclusion_stats(dataset, coord, float(h), order, kernel, k0_eff,
-                        2.0 * alpha)
-        for h in hs
-    ]
-
-
 def select_cov_bandwidth(dataset, s, t, reg_s, reg_t, noise, m2_s, m2_t,
                          var_XsXt, kernel, k0, grid_spec=None):
     """Minimize the two-direction risk over a log bandwidth grid.
@@ -182,10 +179,10 @@ def select_cov_bandwidth(dataset, s, t, reg_s, reg_t, noise, m2_s, m2_t,
     hs = grid_spec.values()
     order_s = min(int(math.floor(reg_s.alpha_hat)), MAX_ORDER)
     order_t = min(int(math.floor(reg_t.alpha_hat)), MAX_ORDER)
-    ss = _coord_stats_over_grid(dataset, s, hs, order_s, kernel, k0,
-                                reg_s.alpha_hat)
-    st = _coord_stats_over_grid(dataset, t, hs, order_t, kernel, k0,
-                                reg_t.alpha_hat)
+    ss = inclusion_stats_over_grid(dataset, s, hs, order_s, kernel,
+                                   max(k0, order_s + 1), 2.0 * reg_s.alpha_hat)
+    st = inclusion_stats_over_grid(dataset, t, hs, order_t, kernel,
+                                   max(k0, order_t + 1), 2.0 * reg_t.alpha_hat)
     prof = _pair_profile(s, t, hs, ss, st, reg_s, reg_t, noise, m2_s, m2_t,
                          var_XsXt, dataset.n_curves)
     if prof is None:
@@ -338,10 +335,10 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
     for k in range(LATTICE_SIZE):
         reg_k = _nearest(regs, anchor_ts, lattice[k])
         order_k = min(int(math.floor(reg_k.alpha_hat)), MAX_ORDER)
-        lat_stats.append(
-            _coord_stats_over_grid(dataset, float(lattice[k]), hs, order_k,
-                                   kernel, k0, reg_k.alpha_hat)
-        )
+        lat_stats.append(inclusion_stats_over_grid(
+            dataset, float(lattice[k]), hs, order_k, kernel,
+            max(k0, order_k + 1), 2.0 * reg_k.alpha_hat,
+        ))
         lat_m2[k] = _m2_plugin(P_lat[:, k])
 
     H_lat = np.full((LATTICE_SIZE, LATTICE_SIZE), np.nan)

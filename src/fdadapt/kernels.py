@@ -12,11 +12,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ValidationError
 
-KERNEL_KINDS = ("uniform", "epanechnikov", "biweight")
+# each kernel on [-1, 1] as a polynomial in z^2: K(z) = sum_j c_j z^(2j)
+_Z2_COEFFS = {
+    "uniform": (0.5,),
+    "epanechnikov": (0.75, -0.75),
+    "biweight": (0.9375, -1.875, 0.9375),
+}
+KERNEL_KINDS = tuple(_Z2_COEFFS)
 
 # Relative eigenvalue threshold below which the LP moment matrix is
 # treated as numerically singular and the fit as degenerate.
@@ -47,6 +52,11 @@ class Kernel:
                 f"unknown kernel {self.kind!r}; choose from {KERNEL_KINDS}"
             )
 
+    @property
+    def z2_coeffs(self):
+        """(c_0, c_1, ...) with K(z) = sum_j c_j z^(2j) on [-1, 1]."""
+        return _Z2_COEFFS[self.kind]
+
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
         inside = np.abs(u) <= 1.0
@@ -71,22 +81,19 @@ def get_kernel(kind):
 
 
 def kernel_abs_moment(kernel, a):
-    """Integral of |u|^a K(u) over the support.
+    """Integral of |u|^a K(u) over the support, in closed form.
 
-    The biweight case has the closed form
-    15/8 {(a+1)^-1 - 2(a+3)^-1 + (a+5)^-1}, which simplifies to
-    15 / ((a+1)(a+3)(a+5)); other kernels are integrated numerically
-    on [0,1] and doubled by symmetry.
+    Uniform 1/(a+1), Epanechnikov 3/((a+1)(a+3)) and biweight
+    15/8 {(a+1)^-1 - 2(a+3)^-1 + (a+5)^-1} = 15/((a+1)(a+3)(a+5)).
     """
     kernel = get_kernel(kernel)
     if a < 0:
         raise ValidationError("moment exponent a must be nonnegative")
-    if kernel.kind == "biweight":
-        return 15.0 / ((a + 1.0) * (a + 3.0) * (a + 5.0))
-    val, _ = quad(
-        lambda u: u**a * float(kernel(u)), 0.0, 1.0, epsabs=1e-12, epsrel=1e-12
-    )
-    return 2.0 * val
+    if kernel.kind == "uniform":
+        return 1.0 / (a + 1.0)
+    if kernel.kind == "epanechnikov":
+        return 3.0 / ((a + 1.0) * (a + 3.0))
+    return 15.0 / ((a + 1.0) * (a + 3.0) * (a + 5.0))
 
 
 @dataclass(frozen=True)

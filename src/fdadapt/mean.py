@@ -4,7 +4,10 @@ The risk at a candidate bandwidth adds a squared-bias term driven by
 the estimated local regularity, a noise variance term scaled by the
 effective number of observations, and a penalty for curves dropped by
 the inclusion rule. The bandwidth is solved at anchor points and
-interpolated to the evaluation grid.
+interpolated to the evaluation grid. The searches over a bandwidth grid,
+here and in the covariance lattice, take every grid value's statistics
+from inclusion_stats_over_grid; at order 0 it reads the whole grid in
+one pass per anchor or lattice coordinate.
 """
 
 import math
@@ -99,6 +102,10 @@ def inclusion_stats(dataset, t, h, order, kernel, k0, alpha):
     excluded = ~w  # adds 1 to their zero denominators
     c1, c_alpha, maxw, xhat = sums / (sum_r + excluded)
     xhat[excluded] = np.nan
+    return _stats(t, h, order, alpha, w, c1, c_alpha, maxw, xhat)
+
+
+def _stats(t, h, order, alpha, w, c1, c_alpha, maxw, xhat):
     W_N = int(np.count_nonzero(w))
     N_mu = C_bar1 = 0.0
     if W_N:
@@ -115,11 +122,112 @@ def inclusion_stats(dataset, t, h, order, kernel, k0, alpha):
         c1=c1,
         c_alpha=c_alpha,
         max_abs_w=maxw,
-        N_i=w / (maxw + excluded),
+        N_i=w / (maxw + ~w),
         N_mu=N_mu,
         C_bar1=C_bar1,
         xhat=xhat,
     )
+
+
+# At order 0 the sweep reads K(z) from cumulative sums only where
+# |z| <= _CORE; nearer the window edge the polynomial form cancels.
+_CORE = 0.9
+
+
+def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
+    """inclusion_stats(dataset, t, h, ...) for every h of an increasing
+    bandwidth grid hs, as a list.
+
+    At order >= 1 this calls inclusion_stats once per bandwidth. At order
+    0 the whole grid comes from one window slice at hs[-1]. With
+    u = T - t and K(z) = sum_j c_j z^(2j), each per-curve sum is a
+    combination over j of cumulative per-curve sums of |u|^(2j),
+    |u|^(2j+alpha) and y u^(2j), taken over the observations whose
+    |u| / h is at most _CORE. For the observations nearer the window
+    edge, K is evaluated directly at each bandwidth that holds them.
+    Window membership, the k0 counts and so w and W_N are exact; the
+    other summaries match inclusion_stats to rounding.
+    """
+    hs = np.asarray(hs, dtype=float)
+    if (hs.ndim != 1 or not hs.size or hs[0] <= 0.0
+            or (np.diff(hs) <= 0.0).any()):
+        raise ValidationError("bandwidth grid must be positive and increasing")
+    kernel = get_kernel(kernel)
+    if order != 0:
+        return [inclusion_stats(dataset, t, float(h), order, kernel, k0, alpha)
+                for h in hs]
+    if k0 < 1:
+        raise ValidationError("k0 must be at least order + 1")
+    n, n_h = dataset.n_curves, hs.size
+
+    # the slice of kernels._window_lp_weights at the widest bandwidth
+    pad = 1e-9 * (abs(t) + hs[-1])
+    lo, hi = dataset.sorted_times.searchsorted((t - hs[-1] - pad,
+                                                t + hs[-1] + pad))
+    d = np.abs(dataset.sorted_times[lo:hi] - t)
+    cid = dataset.sorted_curve[lo:hi]
+    y = dataset.sorted_values[lo:hi]
+
+    # entry: the first bandwidth holding each observation by the rule
+    # |u / h| <= 1 of kernels._window_lp_weights (n_h when none does).
+    # For positive floats the rounded d / h is at most 1 exactly when
+    # d <= h, so a search on d itself applies that rule. core: the first
+    # bandwidth with d <= _CORE h.
+    entry = hs.searchsorted(d)
+    core = (_CORE * hs).searchsorted(d)
+
+    # per-curve in-window counts at every bandwidth, exact integers
+    into = entry < n_h
+    counts = np.bincount(entry[into] * n + cid[into], minlength=n_h * n)
+    counts = counts.reshape(n_h, n).cumsum(axis=0)
+
+    # S, A, Y: per-curve sums of K, K |z|^alpha and K y at every
+    # bandwidth. Core part: per j, the cumulative sums of |u|^(2j) times
+    # 1, |u|^alpha and y, scaled by c_j / h^(2j) (and h^-alpha for A)
+    S, A, Y = np.zeros((3, n_h, n))
+    inner = core < n_h
+    cells, di, yi = core[inner] * n + cid[inner], d[inner], y[inner]
+    da, ha = di ** alpha, hs ** alpha
+    dj, hj = np.ones(di.size), np.ones(n_h)  # |u|^(2j), h^(2j)
+    for c in kernel.z2_coeffs:
+        for total, v, hv in ((S, dj, hj), (A, dj * da, hj * ha),
+                             (Y, dj * yi, hj)):
+            part = _bins(cells, v, n_h, n).cumsum(axis=0)
+            part *= (c / hv)[:, None]
+            total += part
+        dj, hj = dj * di * di, hj * hs * hs
+    # edge part: K itself at each (observation, bandwidth) pair with
+    # _CORE < |z| <= 1, one bandwidth further into each run per pass
+    edge = np.flatnonzero(core > entry)
+    k = entry[edge]
+    while edge.size:
+        z = d[edge] / hs[k]
+        K = kernel(z)
+        cells = k * n + cid[edge]
+        S += _bins(cells, K, n_h, n)
+        A += _bins(cells, K * z ** alpha, n_h, n)
+        Y += _bins(cells, K * y[edge], n_h, n)
+        k += 1
+        more = k < core[edge]
+        edge, k = edge[more], k[more]
+
+    # the largest weight sits at each curve's nearest observation
+    near = np.full(n, np.inf)
+    np.minimum.at(near, cid, d)
+    w = (counts >= k0) & (S > 0.0)
+    denom = np.where(w, S, 1.0)
+    c_alpha = np.where(w, A, 0.0) / denom
+    maxw = np.where(w, kernel(near / hs[:, None]), 0.0) / denom
+    xhat = np.where(w, Y, np.nan) / denom
+    return [_stats(t, h, 0, alpha, *cols)
+            for h, *cols in zip(hs, w, w.astype(float), c_alpha, maxw, xhat)]
+
+
+def _bins(cells, weights, n_h, n):
+    """weights summed into the cells k * n + i of a float (n_h, n) array
+    (np.bincount returns int zeros when there are no cells)."""
+    out = np.bincount(cells, weights, minlength=n_h * n).reshape(n_h, n)
+    return out.astype(float, copy=False)
 
 
 def mean_risk_terms(stats, reg, noise, var_X_t, N, c_bar1=None):
@@ -188,8 +296,9 @@ def select_mean_bandwidth(dataset, t, reg, noise, var_X_t, kernel, k0,
     td = np.full(n_h, INFINITE_RISK)
     W_arr = np.zeros(n_h, dtype=int)
     Nmu_arr = np.zeros(n_h)
-    for j, h in enumerate(hs):
-        stats = inclusion_stats(dataset, t, h, order, kernel, k0, alpha_exp)
+    grid = inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0,
+                                     alpha_exp)
+    for j, stats in enumerate(grid):
         W_arr[j] = stats.W_N
         Nmu_arr[j] = stats.N_mu
         if stats.W_N == 0:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fdadapt import (
+    CurveObservations,
     DesignSpec,
     EvalGrid,
     NoiseSpec,
@@ -12,6 +13,7 @@ from fdadapt import (
     RegularitySchedule,
     fit,
     ingest_long_csv,
+    make_dataset,
     regularity_at_anchors,
     sample_dataset,
     write_long_csv,
@@ -323,6 +325,40 @@ class TestRescale:
             f"(unit-interval {t2:.6g}): "
         )
         assert 5.0 < float(lines[0].split()[3]) < 15.0
+
+    def test_width_flags_in_input_units(self, data_csv, tmp_path):
+        # unit-interval data spanning [1/102, 101/102]: at 5 + 10 t its
+        # rescaled times are its own again (offset 5, scale 10)
+        ds = ingest_long_csv(data_csv)
+        lo, hi = ds.times_flat.min(), ds.times_flat.max()
+        unit = tmp_path / "unit.csv"
+        write_long_csv(make_dataset([
+            CurveObservations(c.curve_id,
+                              (1.0 + 100.0 * (c.times - lo) / (hi - lo))
+                              / 102.0, c.values)
+            for c in ds.curves
+        ]), unit)
+        wide = tmp_path / "wide.csv"
+        shift_times(unit, wide)
+        assert_allclose(ingest_long_csv(wide, rescale=True).time_transform,
+                        (5.0, 10.0), rtol=1e-14)
+        widths = {"--h-min": 0.02, "--h-max": 0.3,
+                  "--presmooth-bandwidth": 0.04}
+
+        def run(path, factor, *extra):
+            out = tmp_path / f"{path.stem}.out.csv"
+            flags = [str(x) for kv in widths.items()
+                     for x in (kv[0], factor * kv[1])]
+            assert main(["mean", "--data", str(path), *extra, "--anchors",
+                         "6", "--grid", "31", *flags, "--out", str(out)]) == 0
+            return read_columns(out)
+
+        got = run(wide, 10.0, "--rescale")
+        want = run(unit, 1.0)
+        assert_allclose(got["t"], 5.0 + 10.0 * want["t"], rtol=1e-14)
+        assert_allclose(got["h_star"], 10.0 * want["h_star"], rtol=1e-12)
+        assert_array_equal(got["W_N"], want["W_N"])
+        assert_allclose(got["mu_hat"], want["mu_hat"], rtol=1e-10)
 
 
 class TestConfigFile:

@@ -9,10 +9,12 @@ from conftest import (
     random_dataset,
     reg_stub,
 )
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from fdadapt import (
     BIWEIGHT,
+    EPANECHNIKOV,
+    UNIFORM,
     BandwidthGrid,
     CurveObservations,
     EstimationError,
@@ -20,6 +22,7 @@ from fdadapt import (
     ValidationError,
     estimate_mean,
     inclusion_stats,
+    inclusion_stats_over_grid,
     kernel_abs_moment,
     make_dataset,
     mean_risk,
@@ -218,6 +221,120 @@ class TestInclusionStatsOracle:
         ds = common_dataset(rng, 6, 50)
         stats = self.check(ds, 0.5, 0.2, order, order + 1, 1.1)
         assert stats.W_N == 6
+
+
+def lifted(curves):
+    """The curves with values 1 + |y|. With positive values the sums
+    of K y do not cancel, so xhat can be compared at a relative
+    tolerance."""
+    return make_dataset([
+        CurveObservations(c.curve_id, c.times, 1.0 + np.abs(c.values))
+        for c in curves
+    ])
+
+
+class TestInclusionStatsOverGrid:
+    """Every entry of the grid sweep against inclusion_stats at its h."""
+
+    @staticmethod
+    def check(ds, t, hs, order, kernel, k0, alpha, rtol=1e-12):
+        grid = inclusion_stats_over_grid(ds, t, hs, order, kernel, k0, alpha)
+        assert len(grid) == len(hs)
+        for h, got in zip(hs, grid):
+            want = inclusion_stats(ds, t, h, order, kernel, k0, alpha)
+            assert (got.t, got.h, got.order, got.alpha_exponent) == (
+                want.t, want.h, want.order, want.alpha_exponent)
+            assert_array_equal(got.w, want.w)
+            assert got.W_N == want.W_N
+            assert_array_equal(got.c1, want.c1)
+            for name in ("c_alpha", "max_abs_w", "xhat", "N_i", "N_mu",
+                         "C_bar1"):
+                if rtol == 0:
+                    assert_array_equal(getattr(got, name),
+                                       getattr(want, name))
+                else:
+                    assert_allclose(getattr(got, name), getattr(want, name),
+                                    rtol=rtol, atol=0)
+        return grid
+
+    @pytest.mark.parametrize("kernel", [UNIFORM, EPANECHNIKOV, BIWEIGHT])
+    def test_kernels_inner_and_clipped_windows(self, rng, kernel):
+        ds = lifted(jittered_curves(rng, 8, 40, 80))
+        hs = BandwidthGrid(0.01, 0.3, 151).values()
+        # the windows at 0.1 and 0.9 stick out of (0, 1) from h = 0.1 on
+        for t in (0.1, float(rng.uniform(0.3, 0.7)), 0.9):
+            grid = self.check(ds, t, hs, 0, kernel, 2,
+                              float(rng.uniform(0.5, 3.0)))
+            assert grid[0].W_N < grid[-1].W_N == 8
+
+    def test_common_design_tied_times(self, rng):
+        ds = lifted(common_dataset(rng, 6, 50).curves)
+        hs = BandwidthGrid(0.005, 0.4, 61).values()
+        grid = self.check(ds, 0.43, hs, 0, BIWEIGHT, 2, 1.1)
+        assert {s.W_N for s in grid} == {0, 6}
+
+    @pytest.mark.parametrize("kernel", [UNIFORM, EPANECHNIKOV, BIWEIGHT])
+    def test_observations_on_window_edges(self, rng, kernel):
+        # dyadic t and bandwidths, so |T - t| equals hs[k] exactly
+        t, hs = 0.5, np.arange(1, 33) / 64.0
+        edges = [
+            # both edges of the windows k = 3, 8 and 15, and inner points
+            t + np.array([-16, -9, -4, -1, 2, 4, 9, 16]) / 64.0,
+            # its k0 = 2 in-window points at k = 4 sit on the edge, K = 0
+            t + np.array([-5, 5, 20]) / 64.0,
+            # at k = 0 an edge point and the centre: the edge point
+            # counts toward k0
+            np.array([t - 1 / 64.0, t]),
+            # at k = 6 two points just inside the edges, where K is about
+            # 4e-8 and its polynomial form in z^2 would cancel
+            np.array([t - 7 / 64.0 * (1 - 2.0**-12),
+                      t + 7 / 64.0 * (1 - 2.0**-12), 0.95]),
+        ]
+        curves = [CurveObservations(i, ts, rng.standard_normal(ts.size))
+                  for i, ts in enumerate(edges)]
+        ds = lifted(curves + jittered_curves(rng, 4, 30, 60, len(curves)))
+        grid = self.check(ds, t, hs, 0, kernel, 2, 1.7)
+        on_edge = grid[4].w[1]
+        assert on_edge == (kernel is UNIFORM)
+        assert grid[4].W_N == 6 + on_edge
+        assert grid[0].w[2]
+        assert grid[6].w[3] and not grid[5].w[3]
+
+    def test_k0_three(self, rng):
+        ds = lifted(jittered_curves(rng, 10, 20, 60))
+        hs = BandwidthGrid(0.005, 0.3, 101).values()
+        grid = self.check(ds, 0.37, hs, 0, BIWEIGHT, 3, 0.9)
+        counts = [s.W_N for s in grid]
+        assert counts[0] < counts[-1] == 10
+
+    def test_empty_widest_window(self, rng):
+        curves = [CurveObservations(i, np.sort(rng.uniform(0.6, 0.98, 20)),
+                                    rng.uniform(1.0, 2.0, 20))
+                  for i in range(4)]
+        ds = make_dataset(curves)
+        grid = self.check(ds, 0.2, BandwidthGrid(0.01, 0.3, 41).values(), 0,
+                          BIWEIGHT, 2, 1.0)
+        assert all(s.W_N == 0 and s.c_alpha.dtype == float for s in grid)
+
+    def test_fine_grid(self, rng):
+        ds = lifted(jittered_curves(rng, 6, 50, 90))
+        self.check(ds, 0.52, BandwidthGrid(0.004, 0.45, 1501).values(), 0,
+                   BIWEIGHT, 2, 1.3)
+
+    @pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
+    def test_higher_orders_are_the_per_bandwidth_calls(self, rng, order):
+        ds = edge_dataset(rng)
+        hs = BandwidthGrid(0.05, 0.4, 21).values()
+        self.check(ds, 0.5, hs, order, BIWEIGHT, order + 1, 1.3, rtol=0)
+
+    def test_validation(self, rng):
+        ds = lifted(jittered_curves(rng, 3, 20, 30))
+        for hs in ([0.2, 0.1], [0.0, 0.1], [], [[0.1, 0.2]]):
+            with pytest.raises(ValidationError):
+                inclusion_stats_over_grid(ds, 0.5, hs, 0, BIWEIGHT, 2, 1.0)
+        with pytest.raises(ValidationError):
+            inclusion_stats_over_grid(ds, 0.5, [0.1, 0.2], 0, BIWEIGHT, 0,
+                                      1.0)
 
 
 class TestMeanRisk:
