@@ -32,7 +32,8 @@ LATTICE_SIZE = 10
 
 @dataclass(frozen=True)
 class PairInclusionStats:
-    """Joint inclusion summaries for one coordinate pair at one h.
+    """Joint inclusion summaries for one coordinate pair at one h, or at
+    every h of a grid (a leading bandwidth axis, as in InclusionStats).
 
     A curve enters the pair estimate only when its fit is
     non-degenerate at both coordinates. The directional fields with
@@ -42,44 +43,43 @@ class PairInclusionStats:
 
     s: float
     t: float
-    h: float
+    h: float | np.ndarray
     w_pair: np.ndarray
-    W_pair: int
-    N_gamma_ts: float
-    N_gamma_st: float
-    C_bar1_ts: float
-    C_bar1_st: float
-    prod: np.ndarray
-    gamma_hat: float
+    W_pair: int | np.ndarray
+    N_gamma_ts: float | np.ndarray
+    N_gamma_st: float | np.ndarray
+    C_bar1_ts: float | np.ndarray
+    C_bar1_st: float | np.ndarray
+    gamma_hat: float | np.ndarray
 
 
 def combine_pair_stats(stats_s: InclusionStats, stats_t: InclusionStats):
-    """Compose per-coordinate inclusion stats into pair-level stats."""
-    if stats_s.h != stats_t.h:
+    """Compose per-coordinate inclusion stats into pair-level stats, at
+    one h or over a grid (gamma_hat is NaN where no pair is included)."""
+    if not np.array_equal(stats_s.h, stats_t.h):
         raise ValidationError("pair stats need a common bandwidth")
     w_pair = stats_s.w & stats_t.w
-    W_pair = int(w_pair.sum())
-    prod = np.where(w_pair, stats_s.xhat * stats_t.xhat, np.nan)
-    if W_pair == 0:
-        return PairInclusionStats(
-            s=stats_s.t, t=stats_t.t, h=stats_s.h, w_pair=w_pair,
-            W_pair=0, N_gamma_ts=0.0, N_gamma_st=0.0, C_bar1_ts=0.0,
-            C_bar1_st=0.0, prod=prod, gamma_hat=math.nan,
-        )
+    W_pair = np.count_nonzero(w_pair, axis=-1)
+    per_pair = np.maximum(W_pair, 1)
+
+    def included_sum(x):
+        return np.where(w_pair, x, 0.0).sum(axis=-1)
 
     def direction(stats):
-        denom = float((stats.c1[w_pair] * stats.max_abs_w[w_pair]).sum())
-        n_gamma = W_pair * W_pair / denom if denom > 0.0 else 0.0
-        c_bar = float((stats.c1[w_pair] * stats.c_alpha[w_pair]).sum()) / W_pair
-        return n_gamma, c_bar
+        denom = included_sum(stats.c1 * stats.max_abs_w)
+        n_gamma = np.divide(W_pair * W_pair, denom,
+                            out=np.zeros(denom.shape), where=denom > 0.0)
+        c_bar = included_sum(stats.c1 * stats.c_alpha) / per_pair
+        return n_gamma[()], c_bar[()]
 
     n_ts, cb_ts = direction(stats_t)
     n_st, cb_st = direction(stats_s)
-    gamma_hat = float(prod[w_pair].sum()) / W_pair
+    prod_sum = included_sum(stats_s.xhat * stats_t.xhat)
+    gamma_hat = np.where(W_pair > 0, prod_sum / per_pair, np.nan)[()]
     return PairInclusionStats(
         s=stats_s.t, t=stats_t.t, h=stats_s.h, w_pair=w_pair,
         W_pair=W_pair, N_gamma_ts=n_ts, N_gamma_st=n_st,
-        C_bar1_ts=cb_ts, C_bar1_st=cb_st, prod=prod, gamma_hat=gamma_hat,
+        C_bar1_ts=cb_ts, C_bar1_st=cb_st, gamma_hat=gamma_hat,
     )
 
 
@@ -100,23 +100,28 @@ def bandwidth_admissible(s, t, h):
 
 def covariance_risk_terms(pair_stats, reg_s, reg_t, noise, m2_s, m2_t,
                           var_XsXt, N):
-    """Bias, variance and dropout terms summed over both directions."""
+    """Bias, variance and dropout terms summed over both directions, as
+    arrays on a grid record; infinite where no curve pair is included or
+    the bandwidth is inadmissible."""
     ps = pair_stats
-    if ps.W_pair == 0 or not bandwidth_admissible(ps.s, ps.t, ps.h):
-        return INFINITE_RISK, INFINITE_RISK, INFINITE_RISK
 
     def one_direction(reg_b, m2_a, c_bar, n_gamma):
         fact = math.factorial(int(math.floor(reg_b.alpha_hat)))
         q1_sq = 2.0 * m2_a * c_bar * reg_b.L2_hat / (fact * fact)
         bias = q1_sq * ps.h ** (2.0 * reg_b.alpha_hat)
         q2_sq = noise.sigma2_max * m2_a
-        var = q2_sq / n_gamma if n_gamma > 0.0 else INFINITE_RISK
+        var = np.where(n_gamma > 0.0, q2_sq / n_gamma, INFINITE_RISK)
         return bias, var
 
-    bias_ts, var_ts = one_direction(reg_t, m2_s, ps.C_bar1_ts, ps.N_gamma_ts)
-    bias_st, var_st = one_direction(reg_s, m2_t, ps.C_bar1_st, ps.N_gamma_st)
-    dropout = var_XsXt * (1.0 / ps.W_pair - 1.0 / N)
-    return bias_ts + bias_st, var_ts + var_st, dropout
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bias_ts, var_ts = one_direction(reg_t, m2_s, ps.C_bar1_ts,
+                                        ps.N_gamma_ts)
+        bias_st, var_st = one_direction(reg_s, m2_t, ps.C_bar1_st,
+                                        ps.N_gamma_st)
+        dropout = var_XsXt * (1.0 / ps.W_pair - 1.0 / N)
+    void = ~((ps.W_pair > 0) & bandwidth_admissible(ps.s, ps.t, ps.h))
+    return tuple(np.where(void, INFINITE_RISK, x)[()]
+                 for x in (bias_ts + bias_st, var_ts + var_st, dropout))
 
 
 def covariance_risk(pair_stats, reg_s, reg_t, noise, m2_s, m2_t,
@@ -141,27 +146,19 @@ class CovRiskProfile:
     h_star_index: int
 
 
-def _pair_profile(s, t, hs, stats_s_per_h, stats_t_per_h, reg_s, reg_t,
-                  noise, m2_s, m2_t, var_XsXt, N):
-    n_h = hs.size
-    tb = np.full(n_h, INFINITE_RISK)
-    tv = np.full(n_h, INFINITE_RISK)
-    td = np.full(n_h, INFINITE_RISK)
-    W_arr = np.zeros(n_h, dtype=int)
-    for j in range(n_h):
-        ps = combine_pair_stats(stats_s_per_h[j], stats_t_per_h[j])
-        W_arr[j] = ps.W_pair
-        b, v, d = covariance_risk_terms(
-            ps, reg_s, reg_t, noise, m2_s, m2_t, var_XsXt, N
-        )
-        tb[j], tv[j], td[j] = b, v, d
+def _pair_profile(s, t, hs, stats_s, stats_t, reg_s, reg_t, noise, m2_s,
+                  m2_t, var_XsXt, N):
+    """The risk profile of the pair (s, t) from its two grid records."""
+    ps = combine_pair_stats(stats_s, stats_t)
+    tb, tv, td = covariance_risk_terms(ps, reg_s, reg_t, noise, m2_s, m2_t,
+                                       var_XsXt, N)
     total = tb + tv + td
     if not np.any(np.isfinite(total)):
         return None
     idx = int(np.argmin(total))
     return CovRiskProfile(
         s=float(s), t=float(t), bandwidths=hs, term_bias=tb, term_var=tv,
-        term_dropout=td, total=total, W_pair=W_arr,
+        term_dropout=td, total=total, W_pair=ps.W_pair,
         h_star=float(hs[idx]), h_star_index=idx,
     )
 
@@ -217,11 +214,6 @@ def _m2_plugin(col):
     if v.size == 0:
         return 0.0
     return float(np.mean(v * v))
-
-
-def _pair_var_plugin(col_a, col_b):
-    prod = col_a * col_b
-    return plugin_variance(prod)
 
 
 def _fill_lattice_nan(H):
@@ -348,7 +340,7 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
             if lattice[l] - lattice[k] <= 0.0:
                 continue
             reg_l = _nearest(regs, anchor_ts, lattice[l])
-            var_kl = _pair_var_plugin(P_lat[:, k], P_lat[:, l])
+            var_kl = plugin_variance(P_lat[:, k] * P_lat[:, l])
             prof = _pair_profile(
                 float(lattice[k]), float(lattice[l]), hs,
                 lat_stats[k], lat_stats[l], reg_k, reg_l, noise,
@@ -374,11 +366,9 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
                 return math.nan, math.nan, h, 0
         ps = pair_inclusion_stats(dataset, a, b, h, order_a, order_b, kernel,
                                   k0, reg_a.alpha_hat, reg_b.alpha_hat)
-        if ps.W_pair == 0:
-            return math.nan, math.nan, h, 0
+        # gamma_hat is NaN when no curve pair is included
         gamma = ps.gamma_hat
-        value = gamma - mu_at(a) * mu_at(b)
-        return gamma, value, h, ps.W_pair
+        return gamma, gamma - mu_at(a) * mu_at(b), h, ps.W_pair
 
     pair_cache = {}
 

@@ -6,7 +6,9 @@ design. Long-format CSV files (curve_id,t,y) are the on-disk form.
 """
 
 import csv
+import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -171,9 +173,8 @@ def ingest_long_csv(path, rescale=False):
     rows sorted by time. With ``rescale=True``, times outside (0,1) are
     mapped affinely into the unit interval and the (offset, scale) pair
     is recorded on the dataset; otherwise out-of-domain times are an
-    error.
+    error. Blank lines are skipped; an error names the first bad line.
     """
-    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -184,73 +185,97 @@ def ingest_long_csv(path, rescale=False):
                 f"{path}: line 1: expected header curve_id,t,y, "
                 f"got {','.join(header)!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ValidationError(
-                    f"{path}: line {lineno}: expected 3 fields, got {len(row)}"
-                )
-            try:
-                cid = int(row[0])
-                t = float(row[1])
-                y = float(row[2])
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}: line {lineno}: malformed row: {exc}"
-                ) from None
-            if not np.isfinite(t):
-                raise ValidationError(f"{path}: line {lineno}: non-finite t")
-            if not np.isfinite(y):
-                raise ValidationError(f"{path}: line {lineno}: non-finite y")
-            rows.append((cid, t, y, lineno))
-
-    if not rows:
+        blocks, first = [], 2
+        while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+            blocks.append(_read_rows(path, rows, first))
+            first += len(rows)
+    if not sum(b[0].size for b in blocks):
         raise ValidationError(f"{path}: no data rows")
+    lines, cid, t, y = map(np.concatenate, zip(*blocks))
 
     offset, scale = 0.0, 1.0
-    ts = np.array([r[1] for r in rows])
-    if rescale and (ts.min() <= 0.0 or ts.max() >= 1.0):
-        lo, hi = float(ts.min()), float(ts.max())
+    if rescale and (t.min() <= 0.0 or t.max() >= 1.0):
+        lo, hi = float(t.min()), float(t.max())
         span = hi - lo
         if span <= 0.0:
             raise ValidationError(f"{path}: cannot rescale a single time value")
         pad = span / 100.0
         offset, scale = lo - pad, span + 2.0 * pad
-        rows = [(cid, (t - offset) / scale, y, ln) for cid, t, y, ln in rows]
+        t = (t - offset) / scale
     else:
-        bad = [r for r in rows if not 0.0 < r[1] < 1.0]
-        if bad:
+        bad = np.flatnonzero((t <= 0.0) | (t >= 1.0))
+        if bad.size:
+            i = bad[0]
             raise ValidationError(
-                f"{path}: line {bad[0][3]}: t={bad[0][1]} outside (0,1)"
+                f"{path}: line {lines[i]}: t={float(t[i])} outside (0,1)"
             )
 
-    by_curve = {}
-    for cid, t, y, lineno in rows:
-        by_curve.setdefault(cid, []).append((t, y, lineno))
-
-    curves = []
-    for cid in sorted(by_curve):
-        recs = sorted(by_curve[cid], key=lambda r: r[0])
-        ts_c = np.array([r[0] for r in recs])
-        dup = np.nonzero(np.diff(ts_c) == 0.0)[0]
-        if dup.size:
-            raise ValidationError(
-                f"{path}: line {recs[dup[0] + 1][2]}: duplicate time "
-                f"{ts_c[dup[0]]} in curve {cid}"
-            )
-        curves.append(
-            CurveObservations(
-                curve_id=cid,
-                times=ts_c,
-                values=np.array([r[1] for r in recs]),
-            )
+    # curves in curve_id order, each by time; ties keep file order
+    order = np.lexsort((t, cid))
+    cid, t, y, lines = cid[order], t[order], y[order], lines[order]
+    new_curve = np.diff(cid) != 0
+    dup = np.flatnonzero(~new_curve & (np.diff(t) == 0.0))
+    if dup.size:
+        i = dup[0]
+        raise ValidationError(
+            f"{path}: line {lines[i + 1]}: duplicate time {t[i]} in curve "
+            f"{cid[i]}"
         )
+    starts = np.flatnonzero(new_curve) + 1
+    curves = [CurveObservations(c, ts_c, ys_c) for c, ts_c, ys_c in zip(
+        cid[np.r_[0, starts]].tolist(), np.split(t, starts),
+        np.split(y, starts))]
 
     ds = make_dataset(curves)
     if rescale and (offset, scale) != (0.0, 1.0):
         ds.time_transform = (offset, scale)
     return ds
+
+
+# rows are parsed a block at a time; 65,536 rows as strings take ~17.5 MB
+_BLOCK_ROWS = 1 << 16
+
+
+def _read_rows(path, rows, first):
+    """Line numbers, curve ids, times and values of one block of CSV
+    rows, the first on line `first`; blank rows are dropped."""
+    lines = np.arange(first, first + len(rows))
+    fields = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    # blank lines: no field, or one field of white space
+    blank = [i for i in np.flatnonzero(fields < 2)
+             if not "".join(rows[i]).strip()]
+    for i in reversed(blank):
+        del rows[i]
+    lines, fields = np.delete(lines, blank), np.delete(fields, blank)
+    readable = (fields == 3).all()
+    if readable:
+        try:
+            cid = np.fromiter(map(int, map(itemgetter(0), rows)), np.int64)
+            t = np.fromiter(map(float, map(itemgetter(1), rows)), float)
+            y = np.fromiter(map(float, map(itemgetter(2), rows)), float)
+            readable = np.isfinite(t).all() and np.isfinite(y).all()
+        except (ValueError, OverflowError):
+            readable = False
+    if not readable:
+        lineno, problem = next((n, p) for n, row in zip(lines, rows)
+                               if (p := _row_problem(row)))
+        raise ValidationError(f"{path}: line {lineno}: {problem}")
+    return lines, cid, t, y
+
+
+def _row_problem(row):
+    """Why one CSV row cannot be read, or None."""
+    if len(row) != 3:
+        return f"expected 3 fields, got {len(row)}"
+    try:
+        cid, t, y = int(row[0]), float(row[1]), float(row[2])
+    except ValueError as exc:
+        return f"malformed row: {exc}"
+    if not -2**63 <= cid < 2**63:
+        return f"curve_id {cid} is beyond 64 bits"
+    if not np.isfinite(t):
+        return "non-finite t"
+    return None if np.isfinite(y) else "non-finite y"
 
 
 def write_long_csv(dataset, path):

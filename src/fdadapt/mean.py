@@ -5,9 +5,11 @@ the estimated local regularity, a noise variance term scaled by the
 effective number of observations, and a penalty for curves dropped by
 the inclusion rule. The bandwidth is solved at anchor points and
 interpolated to the evaluation grid. The searches over a bandwidth grid,
-here and in the covariance lattice, take every grid value's statistics
-from inclusion_stats_over_grid; at order 0 it reads the whole grid in
-one pass per anchor or lattice coordinate.
+here and in the covariance lattice, take the statistics of the whole
+grid from inclusion_stats_over_grid as one record with a leading
+bandwidth axis (at order 0 in one pass per anchor or lattice coordinate)
+and score every grid value with the same array formulas that score a
+single bandwidth.
 """
 
 import math
@@ -57,26 +59,28 @@ class BandwidthGrid:
 
 @dataclass(frozen=True)
 class InclusionStats:
-    """Per-curve weight summaries at one (t, h).
+    """Per-curve weight summaries at one (t, h), or at every h of a grid.
 
     w flags curves with a non-degenerate fit (enough points in the
     window and a solvable system); the c and N arrays are zero and xhat
     NaN where w is false. alpha_exponent is the exponent used for
-    c_alpha (callers pass twice the regularity estimate).
+    c_alpha (callers pass twice the regularity estimate). In a grid
+    record (inclusion_stats_over_grid) h, W_N, N_mu and C_bar1 have
+    shape (n_h,) and the per-curve arrays (n_h, N), row k at h[k].
     """
 
     t: float
-    h: float
+    h: float | np.ndarray
     order: int
     alpha_exponent: float
     w: np.ndarray
-    W_N: int
+    W_N: int | np.ndarray
     c1: np.ndarray
     c_alpha: np.ndarray
     max_abs_w: np.ndarray
     N_i: np.ndarray
-    N_mu: float
-    C_bar1: float
+    N_mu: float | np.ndarray
+    C_bar1: float | np.ndarray
     xhat: np.ndarray
 
 
@@ -102,19 +106,23 @@ def inclusion_stats(dataset, t, h, order, kernel, k0, alpha):
     excluded = ~w  # adds 1 to their zero denominators
     c1, c_alpha, maxw, xhat = sums / (sum_r + excluded)
     xhat[excluded] = np.nan
-    return _stats(t, h, order, alpha, w, c1, c_alpha, maxw, xhat)
+    return _stats(t, float(h), order, alpha, w, c1, c_alpha, maxw, xhat)
 
 
 def _stats(t, h, order, alpha, w, c1, c_alpha, maxw, xhat):
-    W_N = int(np.count_nonzero(w))
-    N_mu = C_bar1 = 0.0
-    if W_N:
-        denom = float(c1 @ maxw)
-        N_mu = W_N * W_N / denom if denom > 0.0 else 0.0
-        C_bar1 = float(c1 @ c_alpha) / W_N
+    """The record at one h (per-curve arrays of shape (N,)) or at every
+    h of a grid (h of shape (n_h,), per-curve arrays (n_h, N))."""
+    W_N = np.count_nonzero(w, axis=-1)
+    # stacked dot products; each row equals its own c1 @ maxw bit for bit
+    denom = (c1[..., None, :] @ maxw[..., :, None])[..., 0, 0]
+    cross = (c1[..., None, :] @ c_alpha[..., :, None])[..., 0, 0]
+    # both are zero where no curve is included
+    N_mu = np.divide(W_N * W_N, denom, out=np.zeros(denom.shape),
+                     where=denom > 0.0)
+    C_bar1 = cross / np.maximum(W_N, 1)
     return InclusionStats(
         t=float(t),
-        h=float(h),
+        h=h,
         order=int(order),
         alpha_exponent=float(alpha),
         w=w,
@@ -123,8 +131,8 @@ def _stats(t, h, order, alpha, w, c1, c_alpha, maxw, xhat):
         c_alpha=c_alpha,
         max_abs_w=maxw,
         N_i=w / (maxw + ~w),
-        N_mu=N_mu,
-        C_bar1=C_bar1,
+        N_mu=N_mu[()],
+        C_bar1=C_bar1[()],
         xhat=xhat,
     )
 
@@ -136,10 +144,11 @@ _CORE = 0.9
 
 def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
     """inclusion_stats(dataset, t, h, ...) for every h of an increasing
-    bandwidth grid hs, as a list.
+    bandwidth grid hs, as one InclusionStats whose fields have a leading
+    bandwidth axis: row k holds the statistics at hs[k].
 
-    At order >= 1 this calls inclusion_stats once per bandwidth. At order
-    0 the whole grid comes from one window slice at hs[-1]. With
+    At order >= 1 this stacks one inclusion_stats call per bandwidth. At
+    order 0 the whole grid comes from one window slice at hs[-1]. With
     u = T - t and K(z) = sum_j c_j z^(2j), each per-curve sum is a
     combination over j of cumulative per-curve sums of |u|^(2j),
     |u|^(2j+alpha) and y u^(2j), taken over the observations whose
@@ -154,8 +163,11 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
         raise ValidationError("bandwidth grid must be positive and increasing")
     kernel = get_kernel(kernel)
     if order != 0:
-        return [inclusion_stats(dataset, t, float(h), order, kernel, k0, alpha)
-                for h in hs]
+        per_h = [inclusion_stats(dataset, t, h, order, kernel, k0, alpha)
+                 for h in hs]
+        return _stats(t, hs, order, alpha, *(
+            np.array([getattr(s, name) for s in per_h])
+            for name in ("w", "c1", "c_alpha", "max_abs_w", "xhat")))
     if k0 < 1:
         raise ValidationError("k0 must be at least order + 1")
     n, n_h = dataset.n_curves, hs.size
@@ -219,8 +231,7 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
     c_alpha = np.where(w, A, 0.0) / denom
     maxw = np.where(w, kernel(near / hs[:, None]), 0.0) / denom
     xhat = np.where(w, Y, np.nan) / denom
-    return [_stats(t, h, 0, alpha, *cols)
-            for h, *cols in zip(hs, w, w.astype(float), c_alpha, maxw, xhat)]
+    return _stats(t, hs, 0, alpha, w, w.astype(float), c_alpha, maxw, xhat)
 
 
 def _bins(cells, weights, n_h, n):
@@ -231,22 +242,21 @@ def _bins(cells, weights, n_h, n):
 
 
 def mean_risk_terms(stats, reg, noise, var_X_t, N, c_bar1=None):
-    """The three risk terms (bias, variance, dropout) at stats' (t, h)."""
-    if stats.W_N == 0:
-        return INFINITE_RISK, INFINITE_RISK, INFINITE_RISK
+    """The three risk terms (bias, variance, dropout) at stats' (t, h),
+    as arrays on a grid record; infinite where no curve is included."""
     fact = math.factorial(int(math.floor(reg.alpha_hat)))
     cb = stats.C_bar1 if c_bar1 is None else c_bar1
     q1_sq = cb * reg.L2_hat / (fact * fact)
     bias = q1_sq * stats.h ** (2.0 * reg.alpha_hat)
-    var = noise.sigma2_max / stats.N_mu
-    dropout = var_X_t * (1.0 / stats.W_N - 1.0 / N)
-    return bias, var, dropout
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = noise.sigma2_max / stats.N_mu
+        dropout = var_X_t * (1.0 / stats.W_N - 1.0 / N)
+    return tuple(np.where(stats.W_N == 0, INFINITE_RISK, x)[()]
+                 for x in (bias, var, dropout))
 
 
 def mean_risk(stats, reg, noise, var_X_t, N, c_bar1=None):
     """Total penalized risk; infinite when no curve is included."""
-    if stats.W_N == 0:
-        return INFINITE_RISK
     b, v, d = mean_risk_terms(stats, reg, noise, var_X_t, N, c_bar1=c_bar1)
     return b + v + d
 
@@ -286,27 +296,12 @@ def select_mean_bandwidth(dataset, t, reg, noise, var_X_t, kernel, k0,
     order = min(int(math.floor(reg.alpha_hat)), MAX_ORDER)
     alpha_exp = 2.0 * reg.alpha_hat
     k0 = max(k0, order + 1)
-    c_bar1_override = (
-        kernel_abs_moment(kernel, alpha_exp) if use_moment_approx else None
-    )
+    cb = kernel_abs_moment(kernel, alpha_exp) if use_moment_approx else None
 
-    n_h = hs.size
-    tb = np.full(n_h, INFINITE_RISK)
-    tv = np.full(n_h, INFINITE_RISK)
-    td = np.full(n_h, INFINITE_RISK)
-    W_arr = np.zeros(n_h, dtype=int)
-    Nmu_arr = np.zeros(n_h)
     grid = inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0,
                                      alpha_exp)
-    for j, stats in enumerate(grid):
-        W_arr[j] = stats.W_N
-        Nmu_arr[j] = stats.N_mu
-        if stats.W_N == 0:
-            continue
-        tb[j], tv[j], td[j] = mean_risk_terms(
-            stats, reg, noise, var_X_t, dataset.n_curves,
-            c_bar1=c_bar1_override,
-        )
+    tb, tv, td = mean_risk_terms(grid, reg, noise, var_X_t, dataset.n_curves,
+                                 c_bar1=cb)
     total = tb + tv + td
     if not np.any(np.isfinite(total)):
         raise InsufficientDataError(
@@ -314,17 +309,7 @@ def select_mean_bandwidth(dataset, t, reg, noise, var_X_t, kernel, k0,
             "all curves excluded"
         )
     idx = int(np.argmin(total))
-
-    fact = math.factorial(int(math.floor(reg.alpha_hat)))
     h_star = float(hs[idx])
-    if c_bar1_override is not None:
-        q1_sq = c_bar1_override * reg.L2_hat / (fact * fact)
-    else:
-        q1_sq = (
-            tb[idx] / h_star ** (2.0 * reg.alpha_hat)
-            if np.isfinite(tb[idx])
-            else math.nan
-        )
     return RiskProfile(
         t=float(t),
         bandwidths=hs,
@@ -332,11 +317,11 @@ def select_mean_bandwidth(dataset, t, reg, noise, var_X_t, kernel, k0,
         term_var=tv,
         term_dropout=td,
         total=total,
-        W_N=W_arr,
-        N_mu=Nmu_arr,
+        W_N=grid.W_N,
+        N_mu=grid.N_mu,
         h_star=h_star,
         h_star_index=idx,
-        q1_sq=float(q1_sq),
+        q1_sq=float(tb[idx] / h_star ** alpha_exp),
         q2_sq=float(noise.sigma2_max),
         q3_sq=float(var_X_t),
         order=order,

@@ -62,6 +62,14 @@ def reg_stub(t2, alpha, L2=1.0, gap=0.05):
     )
 
 
+def assert_same_risk(got, want):
+    """Risk terms equal to rtol 1e-13 and infinite in the same cells."""
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+    fin = np.isfinite(want)
+    np.testing.assert_allclose(got[fin], want[fin], rtol=1e-13, atol=0)
+
+
 def noise_stub(sigma2, n_grid=3):
     return NoiseEstimate(
         sigma2_grid=np.full(n_grid, float(sigma2)),

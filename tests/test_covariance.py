@@ -2,7 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import constant_dataset, noise_stub, random_dataset, reg_stub
+from conftest import (
+    assert_same_risk,
+    constant_dataset,
+    noise_stub,
+    random_dataset,
+    reg_stub,
+)
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fdadapt import (
@@ -24,6 +30,7 @@ from fdadapt import (
     select_cov_bandwidth,
 )
 from fdadapt.covariance import bandwidth_admissible, combine_pair_stats
+from fdadapt.kernels import MAX_ORDER
 
 
 def mean_stub(points, values):
@@ -196,6 +203,60 @@ class TestSelectCovBandwidth:
                 ds, 0.5, 0.515, reg_stub(0.5, 0.5), reg_stub(0.515, 0.5),
                 noise_stub(0.02), 1.0, 1.0, 0.5, BIWEIGHT, 2,
             )
+
+
+class TestCovRiskOverGrid:
+    """select_cov_bandwidth's term arrays against a per-h loop of
+    combine_pair_stats and covariance_risk_terms."""
+
+    @staticmethod
+    def check(ds, s, t, reg_s, reg_t, k0=2):
+        noise, m2_s, m2_t, var_p = noise_stub(0.02), 1.3, 0.9, 0.6
+        N = ds.n_curves
+        prof = select_cov_bandwidth(ds, s, t, reg_s, reg_t, noise, m2_s,
+                                    m2_t, var_p, BIWEIGHT, k0)
+        order_s = min(int(math.floor(reg_s.alpha_hat)), MAX_ORDER)
+        order_t = min(int(math.floor(reg_t.alpha_hat)), MAX_ORDER)
+        want, W = [], []
+        for h in prof.bandwidths:
+            ps = combine_pair_stats(
+                inclusion_stats(ds, s, h, order_s, BIWEIGHT,
+                                max(k0, order_s + 1), 2.0 * reg_s.alpha_hat),
+                inclusion_stats(ds, t, h, order_t, BIWEIGHT,
+                                max(k0, order_t + 1), 2.0 * reg_t.alpha_hat),
+            )
+            W.append(ps.W_pair)
+            want.append(covariance_risk_terms(ps, reg_s, reg_t, noise, m2_s,
+                                              m2_t, var_p, N))
+            if ps.W_pair == 0 or not bandwidth_admissible(s, t, h):
+                assert want[-1] == (math.inf,) * 3
+                assert covariance_risk(ps, reg_s, reg_t, noise, m2_s, m2_t,
+                                       var_p, N) == math.inf
+        want = np.array(want)
+        for k, got in enumerate((prof.term_bias, prof.term_var,
+                                 prof.term_dropout)):
+            assert_same_risk(got, want[:, k])
+        assert_array_equal(prof.W_pair, W)
+        assert prof.h_star_index == int(np.argmin(want.sum(axis=1)))
+        return prof
+
+    def test_empty_and_inadmissible_bandwidths(self, rng):
+        # |t - s| = 0.13: h >= 0.065 is inadmissible; the sparse curves
+        # leave the smallest windows empty
+        ds = random_dataset(rng, n_curves=8, n_lo=10, n_hi=20)
+        s, t = 0.4, 0.53
+        prof = self.check(ds, s, t, reg_stub(s, 0.5), reg_stub(t, 0.7))
+        admissible = 2.0 * prof.bandwidths < t - s
+        assert not admissible.all() and np.isinf(prof.total[~admissible]).all()
+        assert (prof.W_pair[admissible] == 0).any()
+        assert np.isfinite(prof.total).any()
+
+    def test_order_one_anchor(self, rng):
+        ds = random_dataset(rng, n_curves=10, n_lo=25, n_hi=40)
+        s, t = 0.3, 0.6
+        prof = self.check(ds, s, t, reg_stub(s, 1.3, L2=0.8),
+                          reg_stub(t, 0.6), k0=3)
+        assert np.isfinite(prof.total).any()
 
 
 class TestEstimateCovariance:

@@ -215,6 +215,52 @@ class TestLongCsv:
         with pytest.raises(ValidationError, match="duplicate"):
             ingest_long_csv(path)
 
+    def check_error(self, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=match):
+            ingest_long_csv(path)
+
+    def test_two_field_row_reports_line(self, tmp_path):
+        self.check_error(tmp_path, "curve_id,t,y\n0,0.5,1.0\n0,0.6\n"
+                         "1,0.5,0.0\n", "line 3: expected 3 fields, got 2")
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("curve_id,t,y\n\n0,0.5,1.0\n  \n0,0.7,2.0\n"
+                        "1,0.5,0.0\n\n1,0.6,3.0\n\n")
+        ds = ingest_long_csv(path)
+        assert_array_equal(ds.curves[0].times, [0.5, 0.7])
+        assert_array_equal(ds.curves[1].values, [0.0, 3.0])
+        # a line count after blank lines is still the file's line
+        self.check_error(tmp_path, "curve_id,t,y\n\n0,0.5,1.0\n\n"
+                         "0,0.6,x\n", "line 5: malformed row")
+
+    def test_non_finite_t_reports_line(self, tmp_path):
+        self.check_error(tmp_path, "curve_id,t,y\n0,0.5,1.0\n0,0.6,2.0\n"
+                         "1,nan,0.0\n", "line 4: non-finite t")
+
+    def test_non_finite_y_reports_line(self, tmp_path):
+        self.check_error(tmp_path, "curve_id,t,y\n0,0.5,1.0\n0,0.6,-inf\n"
+                         "1,0.5,0.0\n", "line 3: non-finite y")
+
+    def test_non_integer_curve_id_reports_line(self, tmp_path):
+        self.check_error(tmp_path, "curve_id,t,y\n0,0.5,1.0\n1.0,0.6,2.0\n",
+                         "line 3: malformed row")
+
+    def test_header_only(self, tmp_path):
+        self.check_error(tmp_path, "curve_id,t,y\n", "no data rows")
+        self.check_error(tmp_path, "curve_id,t,y\n\n\n", "no data rows")
+
+    def test_first_of_two_faults_reported(self, tmp_path):
+        self.check_error(tmp_path, "curve_id,t,y\n0,0.5,1.0\n0,0.6,nan\n"
+                         "1,0.5,0.0\n1,0.6\n", "line 3: non-finite y")
+
+    def test_curve_id_beyond_int64_reports_line(self, tmp_path):
+        self.check_error(tmp_path, "curve_id,t,y\n0,0.5,1.0\n0,0.6,2.0\n"
+                         f"{2**63},0.5,0.0\n{2**63},0.6,0.0\n",
+                         "line 4: curve_id .* is beyond 64 bits")
+
     def test_ingest_does_not_modify_input(self, tmp_path, rng):
         from conftest import random_dataset
 

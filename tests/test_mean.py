@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from conftest import (
+    assert_same_risk,
     constant_dataset,
     jittered_curves,
     noise_stub,
@@ -233,14 +235,27 @@ def lifted(curves):
     ])
 
 
+def grid_row(grid, k):
+    """Row k of a grid record of inclusion_stats_over_grid."""
+    return dataclasses.replace(grid, **{
+        name: getattr(grid, name)[k]
+        for name in ("h", "w", "W_N", "c1", "c_alpha", "max_abs_w", "N_i",
+                     "N_mu", "C_bar1", "xhat")})
+
+
 class TestInclusionStatsOverGrid:
     """Every entry of the grid sweep against inclusion_stats at its h."""
 
     @staticmethod
     def check(ds, t, hs, order, kernel, k0, alpha, rtol=1e-12):
         grid = inclusion_stats_over_grid(ds, t, hs, order, kernel, k0, alpha)
-        assert len(grid) == len(hs)
-        for h, got in zip(hs, grid):
+        n_h, n = len(hs), ds.n_curves
+        for name in ("h", "W_N", "N_mu", "C_bar1"):
+            assert np.shape(getattr(grid, name)) == (n_h,)
+        for name in ("w", "c1", "c_alpha", "max_abs_w", "N_i", "xhat"):
+            assert np.shape(getattr(grid, name)) == (n_h, n)
+        for k, h in enumerate(hs):
+            got = grid_row(grid, k)
             want = inclusion_stats(ds, t, h, order, kernel, k0, alpha)
             assert (got.t, got.h, got.order, got.alpha_exponent) == (
                 want.t, want.h, want.order, want.alpha_exponent)
@@ -265,13 +280,13 @@ class TestInclusionStatsOverGrid:
         for t in (0.1, float(rng.uniform(0.3, 0.7)), 0.9):
             grid = self.check(ds, t, hs, 0, kernel, 2,
                               float(rng.uniform(0.5, 3.0)))
-            assert grid[0].W_N < grid[-1].W_N == 8
+            assert grid.W_N[0] < grid.W_N[-1] == 8
 
     def test_common_design_tied_times(self, rng):
         ds = lifted(common_dataset(rng, 6, 50).curves)
         hs = BandwidthGrid(0.005, 0.4, 61).values()
         grid = self.check(ds, 0.43, hs, 0, BIWEIGHT, 2, 1.1)
-        assert {s.W_N for s in grid} == {0, 6}
+        assert set(grid.W_N) == {0, 6}
 
     @pytest.mark.parametrize("kernel", [UNIFORM, EPANECHNIKOV, BIWEIGHT])
     def test_observations_on_window_edges(self, rng, kernel):
@@ -294,17 +309,17 @@ class TestInclusionStatsOverGrid:
                   for i, ts in enumerate(edges)]
         ds = lifted(curves + jittered_curves(rng, 4, 30, 60, len(curves)))
         grid = self.check(ds, t, hs, 0, kernel, 2, 1.7)
-        on_edge = grid[4].w[1]
+        on_edge = grid.w[4, 1]
         assert on_edge == (kernel is UNIFORM)
-        assert grid[4].W_N == 6 + on_edge
-        assert grid[0].w[2]
-        assert grid[6].w[3] and not grid[5].w[3]
+        assert grid.W_N[4] == 6 + on_edge
+        assert grid.w[0, 2]
+        assert grid.w[6, 3] and not grid.w[5, 3]
 
     def test_k0_three(self, rng):
         ds = lifted(jittered_curves(rng, 10, 20, 60))
         hs = BandwidthGrid(0.005, 0.3, 101).values()
         grid = self.check(ds, 0.37, hs, 0, BIWEIGHT, 3, 0.9)
-        counts = [s.W_N for s in grid]
+        counts = grid.W_N
         assert counts[0] < counts[-1] == 10
 
     def test_empty_widest_window(self, rng):
@@ -314,7 +329,7 @@ class TestInclusionStatsOverGrid:
         ds = make_dataset(curves)
         grid = self.check(ds, 0.2, BandwidthGrid(0.01, 0.3, 41).values(), 0,
                           BIWEIGHT, 2, 1.0)
-        assert all(s.W_N == 0 and s.c_alpha.dtype == float for s in grid)
+        assert (grid.W_N == 0).all() and grid.c_alpha.dtype == float
 
     def test_fine_grid(self, rng):
         ds = lifted(jittered_curves(rng, 6, 50, 90))
@@ -449,6 +464,59 @@ class TestSelectMeanBandwidth:
         )
         assert_allclose(prof.q1_sq, kernel_abs_moment(BIWEIGHT, 1.0),
                         rtol=1e-12)
+
+
+class TestMeanRiskOverGrid:
+    """select_mean_bandwidth's term arrays against a per-h loop of
+    inclusion_stats and mean_risk_terms."""
+
+    @staticmethod
+    def check(ds, t, reg, grid_spec, use_moment_approx=False, k0=2):
+        noise, var_X_t, N = noise_stub(0.03), 0.8, ds.n_curves
+        prof = select_mean_bandwidth(
+            ds, t, reg, noise, var_X_t, BIWEIGHT, k0, grid_spec=grid_spec,
+            use_moment_approx=use_moment_approx,
+        )
+        order = min(int(math.floor(reg.alpha_hat)), MAX_ORDER)
+        cb = (kernel_abs_moment(BIWEIGHT, 2.0 * reg.alpha_hat)
+              if use_moment_approx else None)
+        want = []
+        for h in prof.bandwidths:
+            stats = inclusion_stats(ds, t, h, order, BIWEIGHT,
+                                    max(k0, order + 1), 2.0 * reg.alpha_hat)
+            want.append(mean_risk_terms(stats, reg, noise, var_X_t, N,
+                                        c_bar1=cb))
+            if stats.W_N == 0:
+                assert want[-1] == (math.inf,) * 3
+                assert mean_risk(stats, reg, noise, var_X_t, N,
+                                 c_bar1=cb) == math.inf
+        want = np.array(want)
+        for k, got in enumerate((prof.term_bias, prof.term_var,
+                                 prof.term_dropout)):
+            assert_same_risk(got, want[:, k])
+        assert prof.h_star_index == int(np.argmin(want.sum(axis=1)))
+        return prof
+
+    @pytest.mark.parametrize("use_moment_approx", [False, True])
+    def test_empty_bandwidths_at_order_zero(self, rng, use_moment_approx):
+        ds = random_dataset(rng, n_curves=6, n_lo=8, n_hi=15)
+        prof = self.check(ds, 0.5, reg_stub(0.5, alpha=0.6, L2=1.5),
+                          BandwidthGrid(0.002, 0.4, 61), use_moment_approx)
+        assert prof.W_N[0] == 0 and np.isinf(prof.total[0])
+        assert np.isfinite(prof.total).any()
+
+    @pytest.mark.parametrize("use_moment_approx", [False, True])
+    def test_order_one_anchor(self, rng, use_moment_approx):
+        ds = random_dataset(rng, n_curves=8, n_lo=8, n_hi=15)
+        prof = self.check(ds, 0.45, reg_stub(0.45, alpha=1.4, L2=0.7),
+                          BandwidthGrid(0.001, 0.45, 41), use_moment_approx)
+        assert prof.order == 1
+        assert np.isinf(prof.total).any() and np.isfinite(prof.total).any()
+
+    def test_k0_three(self, rng):
+        ds = make_dataset(jittered_curves(rng, 10, 20, 60))
+        self.check(ds, 0.37, reg_stub(0.37, alpha=0.8),
+                   BandwidthGrid(0.005, 0.3, 101), k0=3)
 
 
 class TestPluginVariance:
