@@ -6,7 +6,9 @@ coordinate directions, with bandwidths large enough to make the two
 smoothing windows overlap declared inadmissible. A band around the
 diagonal, whose width shrinks with the sampling density at a rate
 governed by the estimated regularity, is filled by extending the value
-from the band boundary.
+from the band boundary. The surface evaluates its distinct pairs, one
+per cell off the band and one boundary pair per midpoint inside it, in
+batched kernel calls at both ends of each block of pairs.
 """
 
 import math
@@ -16,10 +18,12 @@ import numpy as np
 from scipy.integrate import dblquad
 
 from .errors import EstimationError, InsufficientDataError, ValidationError
-from .kernels import BIWEIGHT, EPANECHNIKOV, MAX_ORDER, get_kernel
+from .kernels import (BIWEIGHT, EPANECHNIKOV, MAX_ORDER, _point_blocks,
+                      get_kernel)
 from .mean import (
     BandwidthGrid,
     InclusionStats,
+    _points_stats,
     inclusion_stats,
     inclusion_stats_over_grid,
     plugin_variance,
@@ -85,7 +89,6 @@ def combine_pair_stats(stats_s: InclusionStats, stats_t: InclusionStats):
 
 def pair_inclusion_stats(dataset, s, t, h, order_s, order_t, kernel, k0,
                          alpha_s, alpha_t):
-    kernel = get_kernel(kernel)
     st_s = inclusion_stats(dataset, s, h, order_s, kernel,
                            max(k0, order_s + 1), 2.0 * alpha_s)
     st_t = inclusion_stats(dataset, t, h, order_t, kernel,
@@ -205,8 +208,9 @@ def diagonal_band_width(dataset, alpha_hat):
     return float(base**c)
 
 
-def _nearest(regs, anchor_ts, u):
-    return regs[int(np.argmin(np.abs(anchor_ts - u)))]
+def _nearest(regs, anchor_ts, x):
+    """The regularity estimate of the anchor nearest to each point x."""
+    return [regs[i] for i in np.abs(x[:, None] - anchor_ts).argmin(axis=1)]
 
 
 def _m2_plugin(col):
@@ -243,19 +247,17 @@ def _fill_lattice_nan(H):
 
 
 def _bilinear(lattice, H, a, b):
+    """H interpolated bilinearly at (a, b), clamped to the lattice."""
     lo, hi = lattice[0], lattice[-1]
-    a = min(max(a, lo), hi)
-    b = min(max(b, lo), hi)
-    ia = int(np.clip(np.searchsorted(lattice, a) - 1, 0, lattice.size - 2))
-    ib = int(np.clip(np.searchsorted(lattice, b) - 1, 0, lattice.size - 2))
+    a, b = np.clip(a, lo, hi), np.clip(b, lo, hi)
+    ia = np.clip(lattice.searchsorted(a) - 1, 0, lattice.size - 2)
+    ib = np.clip(lattice.searchsorted(b) - 1, 0, lattice.size - 2)
     fa = (a - lattice[ia]) / (lattice[ia + 1] - lattice[ia])
     fb = (b - lattice[ib]) / (lattice[ib + 1] - lattice[ib])
-    return float(
-        H[ia, ib] * (1 - fa) * (1 - fb)
-        + H[ia + 1, ib] * fa * (1 - fb)
-        + H[ia, ib + 1] * (1 - fa) * fb
-        + H[ia + 1, ib + 1] * fa * fb
-    )
+    return (H[ia, ib] * (1 - fa) * (1 - fb)
+            + H[ia + 1, ib] * fa * (1 - fb)
+            + H[ia, ib + 1] * (1 - fa) * fb
+            + H[ia + 1, ib + 1] * fa * fb)
 
 
 @dataclass(frozen=True)
@@ -313,19 +315,16 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
     lattice = np.linspace(lo, hi, LATTICE_SIZE)
     hs = grid_spec.values()
 
-    mean_pts = np.asarray(mean_result.points, dtype=float)
-    mean_vals = np.asarray(mean_result.values, dtype=float)
-
     def mu_at(x):
-        return float(np.interp(x, mean_pts, mean_vals))
+        return np.interp(x, mean_result.points, mean_result.values)
 
     P_lat = presmooth_matrix(dataset, lattice, schedule.presmooth_bandwidth,
                              presmooth_kernel)
 
+    lat_regs = _nearest(regs, anchor_ts, lattice)
     lat_stats = []
     lat_m2 = np.zeros(LATTICE_SIZE)
-    for k in range(LATTICE_SIZE):
-        reg_k = _nearest(regs, anchor_ts, lattice[k])
+    for k, reg_k in enumerate(lat_regs):
         order_k = min(int(math.floor(reg_k.alpha_hat)), MAX_ORDER)
         lat_stats.append(inclusion_stats_over_grid(
             dataset, float(lattice[k]), hs, order_k, kernel,
@@ -335,15 +334,13 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
 
     H_lat = np.full((LATTICE_SIZE, LATTICE_SIZE), np.nan)
     for k in range(LATTICE_SIZE):
-        reg_k = _nearest(regs, anchor_ts, lattice[k])
         for l in range(k, LATTICE_SIZE):
             if lattice[l] - lattice[k] <= 0.0:
                 continue
-            reg_l = _nearest(regs, anchor_ts, lattice[l])
             var_kl = plugin_variance(P_lat[:, k] * P_lat[:, l])
             prof = _pair_profile(
-                float(lattice[k]), float(lattice[l]), hs,
-                lat_stats[k], lat_stats[l], reg_k, reg_l, noise,
+                float(lattice[k]), float(lattice[l]), hs, lat_stats[k],
+                lat_stats[l], lat_regs[k], lat_regs[l], noise,
                 lat_m2[k], lat_m2[l], var_kl, N,
             )
             if prof is not None:
@@ -351,63 +348,51 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
                 H_lat[l, k] = prof.h_star
     H_lat = _fill_lattice_nan(H_lat)
 
-    def eval_pair(a, b):
-        """Off-band evaluation at the canonical pair a < b."""
-        reg_a = _nearest(regs, anchor_ts, a)
-        reg_b = _nearest(regs, anchor_ts, b)
-        order_a = min(int(math.floor(reg_a.alpha_hat)), MAX_ORDER)
-        order_b = min(int(math.floor(reg_b.alpha_hat)), MAX_ORDER)
-        # interpolating lattice values that all sit on the bandwidth
-        # grid cannot leave its range, so clamp away rounding noise
-        h = min(max(_bilinear(lattice, H_lat, a, b), hs[0]), hs[-1])
-        if not bandwidth_admissible(a, b, h):
-            h = 0.5 * abs(b - a) * (1.0 - 1e-9)
-            if h < hs[0]:
-                return math.nan, math.nan, h, 0
-        ps = pair_inclusion_stats(dataset, a, b, h, order_a, order_b, kernel,
-                                  k0, reg_a.alpha_hat, reg_b.alpha_hat)
-        # gamma_hat is NaN when no curve pair is included
-        gamma = ps.gamma_hat
-        return gamma, gamma - mu_at(a) * mu_at(b), h, ps.W_pair
+    # each cell's canonical pair a <= b; a cell inside the band takes the
+    # band boundary pair that shares its midpoint
+    S, T = np.meshgrid(pts_s, pts_t, indexing="ij")
+    a, b = np.minimum(S, T).ravel(), np.maximum(S, T).ravel()
+    in_band = b - a <= d_band
+    margin = 0.5 * d_band + 1e-9
+    u = np.clip(0.5 * (a + b), margin, 1.0 - margin)
+    pa = np.where(in_band, u - 0.5 * d_band, a)
+    pb = np.where(in_band, u + 0.5 * d_band, b)
+    # pairs equal to 12 decimals share the estimate at the first of them
+    first = {}
+    rep = [first.setdefault((round(x, 12), round(y, 12)), k)
+           for k, (x, y) in enumerate(zip(pa.tolist(), pb.tolist()))]
+    uniq, k = np.unique(rep, return_inverse=True)
+    pa, pb = pa[uniq], pb[uniq]
 
-    pair_cache = {}
+    alpha = np.array([[r.alpha_hat for r in _nearest(regs, anchor_ts, x)]
+                      for x in (pa, pb)])
+    orders = np.minimum(np.floor(alpha), MAX_ORDER).astype(int)
+    # interpolating lattice values that all sit on the bandwidth grid
+    # cannot leave its range, so clamp away rounding noise
+    h = np.clip(_bilinear(lattice, H_lat, pa, pb), hs[0], hs[-1])
+    h = np.where(bandwidth_admissible(pa, pb, h), h,
+                 0.5 * np.abs(pb - pa) * (1.0 - 1e-9))
+    gamma = np.full(pa.size, np.nan)
+    W = np.zeros(pa.size, dtype=int)
+    live = np.flatnonzero(h >= hs[0])
+    for oa, ob in np.unique(orders[:, live], axis=1).T:
+        group = live[(orders[0, live] == oa) & (orders[1, live] == ob)]
+        for blk in _point_blocks(dataset, h[group], pa[group], pb[group]):
+            i = group[blk]
+            ps = combine_pair_stats(
+                _points_stats(dataset, pa[i], h[i], oa, kernel,
+                              max(k0, oa + 1), 2.0 * alpha[0, i]),
+                _points_stats(dataset, pb[i], h[i], ob, kernel,
+                              max(k0, ob + 1), 2.0 * alpha[1, i]))
+            gamma[i], W[i] = ps.gamma_hat, ps.W_pair
+    # gamma_hat is NaN when no curve pair is included
+    value = gamma - mu_at(pa) * mu_at(pb)
 
-    def eval_pair_cached(a, b):
-        key = (round(float(a), 12), round(float(b), 12))
-        if key not in pair_cache:
-            pair_cache[key] = eval_pair(a, b)
-        return pair_cache[key]
-
-    def eval_in_band(s, t):
-        """Value at the band boundary sharing the midpoint of (s, t)."""
-        u = 0.5 * (s + t)
-        margin = 0.5 * d_band + 1e-9
-        u = min(max(u, margin), 1.0 - margin)
-        gamma_b, value_b, h, W = eval_pair_cached(u - 0.5 * d_band,
-                                                  u + 0.5 * d_band)
-        if math.isnan(value_b):
-            return math.nan, math.nan, h, W
-        gamma = value_b + mu_at(s) * mu_at(t)
-        return gamma, value_b, h, W
-
-    n_s, n_t = pts_s.size, pts_t.size
-    G = np.full((n_s, n_t), np.nan)
-    Gamma = np.full((n_s, n_t), np.nan)
-    H_out = np.full((n_s, n_t), np.nan)
-    W_out = np.zeros((n_s, n_t), dtype=int)
-    in_band = np.zeros((n_s, n_t), dtype=bool)
-    for i, s in enumerate(pts_s):
-        for j, t in enumerate(pts_t):
-            a, b = (s, t) if s <= t else (t, s)
-            if b - a <= d_band:
-                in_band[i, j] = True
-                gamma, value, h, W = eval_in_band(a, b)
-            else:
-                gamma, value, h, W = eval_pair_cached(a, b)
-            G[i, j] = gamma
-            Gamma[i, j] = value
-            H_out[i, j] = h
-            W_out[i, j] = W
+    Gamma = value[k]
+    G = np.where(in_band, Gamma + mu_at(a) * mu_at(b), gamma[k])
+    shape = (pts_s.size, pts_t.size)
+    G, Gamma, H_out, W_out, in_band = (
+        x.reshape(shape) for x in (G, Gamma, h[k], W[k], in_band))
 
     undefined = np.isnan(Gamma)
     if undefined.all(axis=1).any() or undefined.all(axis=0).any():

@@ -5,7 +5,9 @@ weighted least squares normal equations with the polynomial basis
 z^j / j!. A derivative variant returns the weights whose dot product
 with the curve values estimates the d-th derivative at the target.
 lp_coefficient_weights fits one curve; _window_lp_weights fits every
-curve of a dataset at once and is what the estimators call.
+curve of a dataset at a batch of (t, h) points at once and is what the
+estimators call, one call per block of at most _BLOCK_OBS windowed
+observations (_point_blocks).
 """
 
 import math
@@ -81,13 +83,13 @@ def get_kernel(kind):
 
 
 def kernel_abs_moment(kernel, a):
-    """Integral of |u|^a K(u) over the support, in closed form.
+    """Integral of |u|^a K(u) in closed form, elementwise for an array a.
 
     Uniform 1/(a+1), Epanechnikov 3/((a+1)(a+3)) and biweight
     15/8 {(a+1)^-1 - 2(a+3)^-1 + (a+5)^-1} = 15/((a+1)(a+3)(a+5)).
     """
     kernel = get_kernel(kernel)
-    if a < 0:
+    if np.min(a) < 0:
         raise ValidationError("moment exponent a must be nonnegative")
     if kernel.kind == "uniform":
         return 1.0 / (a + 1.0)
@@ -205,20 +207,49 @@ def lp_weights(curve, t, h, order, kernel, k0):
     return lp_coefficient_weights(curve.times, t, h, order, kernel, k0, deriv=0)
 
 
-def _window_lp_weights(dataset, t, h, order, kernel, k0, deriv=0):
-    """Every curve's local polynomial fit at one (t, h), in one pass.
+# windowed observations per batched call; each costs about 80 bytes
+_BLOCK_OBS = 1 << 13
 
-    The observations in [t-h, t+h] are a slice of the dataset's
-    time-sorted layout. Per-curve kernel moments give each curve's
-    system (scaled as in lp_coefficient_weights, with the same k0 count
-    and SINGULAR_RTOL test); the non-degenerate systems are solved as
-    one batch. Returns (w, cid, z, y, r, norm): w flags the curves with
-    a non-degenerate fit; cid, z = (T - t) / h, y and r describe each
-    in-window observation; r / norm[cid] are the weights of
-    lp_coefficient_weights(..., deriv=deriv). r and norm are zero on
-    curves where w is false.
+
+def _window_bounds(dataset, t, h):
+    """(lo, hi): the slices of the time-sorted layout that hold the
+    windows [t-h, t+h], padded against rounding."""
+    pad = 1e-9 * (np.abs(t) + h)
+    return dataset.sorted_times.searchsorted((t - h - pad, t + h + pad))
+
+
+def _point_blocks(dataset, h, *ts):
+    """Slices that split the points into runs whose windows [t-h, t+h]
+    hold at most _BLOCK_OBS observations at each t of ts (one call per
+    t); a point holding more is a run of its own."""
+    ends = [np.cumsum(np.atleast_1d(hi - lo))
+            for lo, hi in (_window_bounds(dataset, t, h) for t in ts)]
+    i = 0
+    while i < ends[0].size:
+        j = min(int(e.searchsorted((e[i - 1] if i else 0) + _BLOCK_OBS,
+                                   "right")) for e in ends)
+        j = max(j, i + 1)
+        yield slice(i, j)
+        i = j
+
+
+def _window_lp_weights(dataset, t, h, order, kernel, k0, deriv=0):
+    """Every curve's local polynomial fit at P points (t, h) (scalars or
+    arrays that broadcast to (P,)), in one pass.
+
+    The P window slices of the time-sorted layout are gathered into one
+    index array; per-(point, curve) moments give each cell's system (as
+    in lp_coefficient_weights, with its k0 count and SINGULAR_RTOL test),
+    all solved in one batch. Sums run in slice order, so a point's
+    results are those of a call at that point alone. Returns
+    (w, cell, z, y, r, norm): w (length P * N) flags the non-degenerate
+    cells; cell = point * N + curve, z = (T - t) / h, y and r describe
+    each windowed observation; r / norm[cell] are the weights of
+    lp_coefficient_weights(..., deriv=deriv), zero where w is false.
     """
-    if h <= 0.0:
+    t, h = (np.ravel(x) for x in np.broadcast_arrays(
+        np.asarray(t, dtype=float), np.asarray(h, dtype=float)))
+    if (h <= 0.0).any():
         raise ValidationError("bandwidth h must be positive")
     if not 0 <= order <= MAX_ORDER:
         raise ValidationError(f"order must be in [0, {MAX_ORDER}]")
@@ -227,28 +258,30 @@ def _window_lp_weights(dataset, t, h, order, kernel, k0, deriv=0):
     if k0 < order + 1:
         raise ValidationError("k0 must be at least order + 1")
     kernel = get_kernel(kernel)
-    n = dataset.n_curves
+    n, cells = dataset.n_curves, t.size * dataset.n_curves
 
-    # the padded slice holds every observation of the window; z is
-    # sorted in it, so the exact rule |z| <= 1 of _window keeps a
-    # contiguous run of it
-    pad = 1e-9 * (abs(t) + h)
-    lo, hi = dataset.sorted_times.searchsorted((t - h - pad, t + h + pad))
-    z = (dataset.sorted_times[lo:hi] - t) / h
-    a, b = z.searchsorted(-1.0, "left"), z.searchsorted(1.0, "right")
-    z = z[a:b]
-    cid = dataset.sorted_curve[lo + a:lo + b]
-    y = dataset.sorted_values[lo + a:lo + b]
+    # gather the padded slices, then keep the exact rule |z| <= 1 of _window
+    lo, hi = _window_bounds(dataset, t, h)
+    count = hi - lo
+    idx = np.arange(count.sum()) + np.repeat(hi - np.cumsum(count), count)
+    t_obs, h_obs = np.repeat([t, h], count, axis=1)
+    z = (dataset.sorted_times[idx] - t_obs) / h_obs
+    cell = np.repeat(np.arange(0, cells, n), count)
+    keep = (z >= -1.0) & (z <= 1.0)
+    if not keep.all():
+        z, idx, cell = z[keep], idx[keep], cell[keep]
+    cell += dataset.sorted_curve[idx]
+    y = dataset.sorted_values[idx]
     K = kernel(z)
 
-    # M[j] = sum K z^j per curve, A[j, k] = M[j + k] / (j! k!) / (n_i h)
+    # M[j] = sum K z^j per cell, A[j, k] = M[j + k] / (j! k!) / (n_i h)
     kz = [K]
     for _ in range(2 * order):
         kz.append(kz[-1] * z)
-    moments = np.array([np.bincount(cid, v, minlength=n) for v in kz])
-    cand = np.flatnonzero(np.bincount(cid, minlength=n) >= k0)
-    A = ((moments[:, cand] / (dataset.lengths[cand] * h)).T[:, _HANKEL[order]]
-         / _FACTORIAL_PAIRS[order])
+    moments = np.array([np.bincount(cell, v, minlength=cells) for v in kz])
+    cand = np.flatnonzero(np.bincount(cell, minlength=cells) >= k0)
+    A = ((moments[:, cand] / (dataset.lengths[cand % n] * h[cand // n])).T
+         [:, _HANKEL[order]] / _FACTORIAL_PAIRS[order])
     if order:
         eigs = np.linalg.eigvalsh(A)
         low, high = eigs[:, 0], eigs[:, -1]
@@ -258,7 +291,7 @@ def _window_lp_weights(dataset, t, h, order, kernel, k0, deriv=0):
         low = high = A[:, 0, 0]
     good = (low > SINGULAR_RTOL * high) & (high > 0.0)
     included = cand[good]
-    w = np.zeros(n, dtype=bool)
+    w = np.zeros(cells, dtype=bool)
     w[included] = True
 
     # Scaled to x_deriv = 1, the solution of A x = lambda e_deriv solves
@@ -268,8 +301,8 @@ def _window_lp_weights(dataset, t, h, order, kernel, k0, deriv=0):
     # sum_k coef[k] M[deriv + k] h^deriv / deriv!. At order 0 the system
     # is empty (a batched solve of empty systems costs as much as a
     # small real one) and the weights are exactly K / S. coef stays zero
-    # on excluded curves, so they add nothing to r or norm.
-    coef = np.zeros((order + 1, n))
+    # on excluded cells, so they add nothing to r or norm.
+    coef = np.zeros((order + 1, cells))
     coef[deriv, included] = 1.0 / _FACTORIALS[deriv]
     if order:
         A = A[good]
@@ -279,8 +312,10 @@ def _window_lp_weights(dataset, t, h, order, kernel, k0, deriv=0):
         coef[np.ix_(rest, included)] = (x / _FACTORIALS[: order + 1][rest]).T
     norm = (coef * moments[deriv:deriv + order + 1]).sum(axis=0)
     if deriv:
-        norm *= h**deriv / _FACTORIALS[deriv]
-    g = coef[order][cid]
+        # Python's float power, as a call at one point takes it
+        norm *= np.repeat([x ** deriv / _FACTORIALS[deriv]
+                           for x in h.tolist()], n)
+    g = coef[order][cell]
     for j in range(order - 1, -1, -1):
-        g = g * z + coef[j][cid]
-    return w, cid, z, y, K * g, norm
+        g = g * z + coef[j][cell]
+    return w, cell, z, y, K * g, norm

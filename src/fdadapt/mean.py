@@ -9,11 +9,13 @@ here and in the covariance lattice, take the statistics of the whole
 grid from inclusion_stats_over_grid as one record with a leading
 bandwidth axis (at order 0 in one pass per anchor or lattice coordinate)
 and score every grid value with the same array formulas that score a
-single bandwidth.
+single bandwidth. Fits at fixed bandwidths take their (t, h) points in
+blocks, one batched kernel call and _points_stats record per block.
 """
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .kernels import (
     BIWEIGHT,
     EPANECHNIKOV,
     MAX_ORDER,
+    _point_blocks,
     _window_lp_weights,
     get_kernel,
     kernel_abs_moment,
@@ -59,20 +62,23 @@ class BandwidthGrid:
 
 @dataclass(frozen=True)
 class InclusionStats:
-    """Per-curve weight summaries at one (t, h), or at every h of a grid.
+    """Per-curve weight summaries at one (t, h), at every h of a grid, or
+    at P points (t, h).
 
     w flags curves with a non-degenerate fit (enough points in the
     window and a solvable system); the c and N arrays are zero and xhat
     NaN where w is false. alpha_exponent is the exponent used for
     c_alpha (callers pass twice the regularity estimate). In a grid
     record (inclusion_stats_over_grid) h, W_N, N_mu and C_bar1 have
-    shape (n_h,) and the per-curve arrays (n_h, N), row k at h[k].
+    shape (n_h,) and the per-curve arrays (n_h, N), row k at h[k]. A
+    point record (_points_stats) has the same point axis, and t and
+    alpha_exponent may also be given per point.
     """
 
-    t: float
+    t: float | np.ndarray
     h: float | np.ndarray
     order: int
-    alpha_exponent: float
+    alpha_exponent: float | np.ndarray
     w: np.ndarray
     W_N: int | np.ndarray
     c1: np.ndarray
@@ -91,27 +97,39 @@ def inclusion_stats(dataset, t, h, order, kernel, k0, alpha):
     the observations in [t-h, t+h] (kernels._window_lp_weights) and are
     summed back per curve. Order 0 is Nadaraya-Watson.
     """
-    w, cid, z, y, r, sum_r = _window_lp_weights(dataset, t, h, order,
+    return _points_stats(dataset, float(t), float(h), order, kernel, k0,
+                         float(alpha))
+
+
+def _points_stats(dataset, t, h, order, kernel, k0, alpha):
+    """inclusion_stats at P points from one batched kernel call: t, h and
+    alpha are scalars or arrays that broadcast to (P,) and are kept as
+    given; the other fields have a leading point axis unless all three
+    are scalars. Each point's statistics are those of a call at it."""
+    shape = np.broadcast(t, h, alpha).shape
+    w, cell, z, y, r, sum_r = _window_lp_weights(dataset, t, h, order,
                                                  kernel, k0)
-    n = dataset.n_curves
+    n, cells = dataset.n_curves, w.size
+    a = np.ravel(alpha)[cell // n] if np.ndim(alpha) else alpha
     ar = np.abs(r)
-    maxw = np.zeros(n)
-    np.maximum.at(maxw, cid, ar)
+    maxw = np.zeros(cells)
+    np.maximum.at(maxw, cell, ar)
     sums = np.array([
-        np.bincount(cid, ar, minlength=n),
-        np.bincount(cid, ar * np.abs(z) ** alpha, minlength=n),
+        np.bincount(cell, ar, minlength=cells),
+        np.bincount(cell, ar * np.abs(z) ** a, minlength=cells),
         maxw,
-        np.bincount(cid, r * y, minlength=n),
+        np.bincount(cell, r * y, minlength=cells),
     ])
     excluded = ~w  # adds 1 to their zero denominators
     c1, c_alpha, maxw, xhat = sums / (sum_r + excluded)
     xhat[excluded] = np.nan
-    return _stats(t, float(h), order, alpha, w, c1, c_alpha, maxw, xhat)
+    return _stats(t, h, order, alpha, *(
+        x.reshape(shape + (n,)) for x in (w, c1, c_alpha, maxw, xhat)))
 
 
 def _stats(t, h, order, alpha, w, c1, c_alpha, maxw, xhat):
-    """The record at one h (per-curve arrays of shape (N,)) or at every
-    h of a grid (h of shape (n_h,), per-curve arrays (n_h, N))."""
+    """The record at one (t, h) (per-curve arrays of shape (N,)) or at P
+    points or grid bandwidths (per-curve arrays (P, N))."""
     W_N = np.count_nonzero(w, axis=-1)
     # stacked dot products; each row equals its own c1 @ maxw bit for bit
     denom = (c1[..., None, :] @ maxw[..., :, None])[..., 0, 0]
@@ -121,10 +139,10 @@ def _stats(t, h, order, alpha, w, c1, c_alpha, maxw, xhat):
                      where=denom > 0.0)
     C_bar1 = cross / np.maximum(W_N, 1)
     return InclusionStats(
-        t=float(t),
+        t=t if np.ndim(t) else float(t),
         h=h,
         order=int(order),
-        alpha_exponent=float(alpha),
+        alpha_exponent=alpha if np.ndim(alpha) else float(alpha),
         w=w,
         W_N=W_N,
         c1=c1,
@@ -147,12 +165,12 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
     bandwidth grid hs, as one InclusionStats whose fields have a leading
     bandwidth axis: row k holds the statistics at hs[k].
 
-    At order >= 1 this stacks one inclusion_stats call per bandwidth. At
-    order 0 the whole grid comes from one window slice at hs[-1]. With
-    u = T - t and K(z) = sum_j c_j z^(2j), each per-curve sum is a
-    combination over j of cumulative per-curve sums of |u|^(2j),
-    |u|^(2j+alpha) and y u^(2j), taken over the observations whose
-    |u| / h is at most _CORE. For the observations nearer the window
+    At order >= 1 the points (t, hs[k]) go through _points_stats in
+    blocks. At order 0 the whole grid comes from one window slice at
+    hs[-1]. With u = T - t and K(z) = sum_j c_j z^(2j), each per-curve
+    sum is a combination over j of cumulative per-curve sums of
+    |u|^(2j), |u|^(2j+alpha) and y u^(2j), taken over the observations
+    whose |u| / h is at most _CORE. For the observations nearer the window
     edge, K is evaluated directly at each bandwidth that holds them.
     Window membership, the k0 counts and so w and W_N are exact; the
     other summaries match inclusion_stats to rounding.
@@ -163,10 +181,10 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
         raise ValidationError("bandwidth grid must be positive and increasing")
     kernel = get_kernel(kernel)
     if order != 0:
-        per_h = [inclusion_stats(dataset, t, h, order, kernel, k0, alpha)
-                 for h in hs]
+        blocks = [_points_stats(dataset, t, hs[b], order, kernel, k0, alpha)
+                  for b in _point_blocks(dataset, hs, t)]
         return _stats(t, hs, order, alpha, *(
-            np.array([getattr(s, name) for s in per_h])
+            np.concatenate([getattr(s, name) for s in blocks])
             for name in ("w", "c1", "c_alpha", "max_abs_w", "xhat")))
     if k0 < 1:
         raise ValidationError("k0 must be at least order + 1")
@@ -243,8 +261,10 @@ def _bins(cells, weights, n_h, n):
 
 def mean_risk_terms(stats, reg, noise, var_X_t, N, c_bar1=None):
     """The three risk terms (bias, variance, dropout) at stats' (t, h),
-    as arrays on a grid record; infinite where no curve is included."""
-    fact = math.factorial(int(math.floor(reg.alpha_hat)))
+    as arrays on a grid or point record (reg's alpha_hat and L2_hat and
+    var_X_t then per point); infinite where no curve is included."""
+    fact = np.vectorize(math.factorial, otypes=[float])(
+        np.floor(reg.alpha_hat).astype(int))
     cb = stats.C_bar1 if c_bar1 is None else c_bar1
     q1_sq = cb * reg.L2_hat / (fact * fact)
     bias = q1_sq * stats.h ** (2.0 * reg.alpha_hat)
@@ -374,12 +394,10 @@ def estimate_mean(dataset, grid, reg_per_anchor, noise, kernel=BIWEIGHT,
     N = dataset.n_curves
 
     # one presmoothing pass feeds every variance plug-in
-    P_anchor = presmooth_matrix(
-        dataset, anchor_ts, schedule.presmooth_bandwidth, presmooth_kernel
-    )
-    anchor_var = np.array(
-        [plugin_variance(P_anchor[:, j]) for j in range(anchor_ts.size)]
-    )
+    P = presmooth_matrix(dataset, np.concatenate([anchor_ts, pts]),
+                         schedule.presmooth_bandwidth, presmooth_kernel)
+    var_X = np.array([plugin_variance(col) for col in P.T])
+    anchor_var, var_grid = np.split(var_X, [anchor_ts.size])
 
     anchor_h = np.full(anchor_ts.size, np.nan)
     for j, reg in enumerate(regs):
@@ -398,46 +416,37 @@ def estimate_mean(dataset, grid, reg_per_anchor, noise, kernel=BIWEIGHT,
         )
     h_on_grid = np.interp(pts, anchor_ts[ok], anchor_h[ok])
 
-    P_grid = presmooth_matrix(
-        dataset, pts, schedule.presmooth_bandwidth, presmooth_kernel
-    )
-
+    # each point takes the regularity of its nearest anchor
+    near = np.abs(pts[:, None] - anchor_ts).argmin(axis=1)
+    alpha, L2 = np.array([[r.alpha_hat, r.L2_hat] for r in regs])[near].T
+    orders = np.minimum(np.floor(alpha), MAX_ORDER).astype(int)
+    cb = kernel_abs_moment(kernel, 2.0 * alpha) if use_moment_approx else None
     values = np.full(pts.size, np.nan)
     W_out = np.zeros(pts.size, dtype=int)
-    r_bias = np.full(pts.size, np.nan)
-    r_var = np.full(pts.size, np.nan)
-    r_drop = np.full(pts.size, np.nan)
-    for j, t in enumerate(pts):
-        reg = regs[int(np.argmin(np.abs(anchor_ts - t)))]
-        order = min(int(math.floor(reg.alpha_hat)), MAX_ORDER)
-        k0_eff = max(k0, order + 1)
-        stats = inclusion_stats(
-            dataset, t, h_on_grid[j], order, kernel, k0_eff,
-            2.0 * reg.alpha_hat,
-        )
-        W_out[j] = stats.W_N
-        if stats.W_N == 0:
-            continue
-        values[j] = float(
-            np.where(stats.w, stats.xhat, 0.0).sum() / stats.W_N
-        )
-        var_t = plugin_variance(P_grid[:, j])
-        cb = (
-            kernel_abs_moment(kernel, 2.0 * reg.alpha_hat)
-            if use_moment_approx
-            else None
-        )
-        b, v, d = mean_risk_terms(stats, reg, noise, var_t, N, c_bar1=cb)
-        r_bias[j], r_var[j], r_drop[j] = b, v, d
+    risk = np.full((3, pts.size), np.nan)
+    for order in np.unique(orders):
+        group = np.flatnonzero(orders == order)
+        for b in _point_blocks(dataset, h_on_grid[group], pts[group]):
+            i = group[b]
+            stats = _points_stats(dataset, pts[i], h_on_grid[i], order,
+                                  kernel, max(k0, order + 1), 2.0 * alpha[i])
+            W_out[i] = stats.W_N
+            with np.errstate(invalid="ignore"):
+                values[i] = (np.where(stats.w, stats.xhat, 0.0).sum(axis=-1)
+                             / stats.W_N)
+            risk[:, i] = mean_risk_terms(
+                stats, SimpleNamespace(alpha_hat=alpha[i], L2_hat=L2[i]),
+                noise, var_grid[i], N, c_bar1=None if cb is None else cb[i])
+    risk[:, W_out == 0] = np.nan
 
     return MeanEstimate(
         points=pts,
         values=values,
         h_star=h_on_grid,
         W_N=W_out,
-        risk_bias=r_bias,
-        risk_var=r_var,
-        risk_dropout=r_drop,
+        risk_bias=risk[0],
+        risk_var=risk[1],
+        risk_dropout=risk[2],
         anchor_t=anchor_ts,
         anchor_h=anchor_h,
         anchor_alpha=np.array([r.alpha_hat for r in regs]),

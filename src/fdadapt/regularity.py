@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError, InsufficientDataError, ValidationError
-from .kernels import _window_lp_weights
+from .kernels import _point_blocks, _window_lp_weights
 
 H_CLIP_LO = 0.05
 H_CLIP_HI = 1.0
@@ -70,11 +70,12 @@ def presmooth_matrix(dataset, points, h, kernel, d=0):
     n = dataset.n_curves
     out = np.full((n, pts.size), np.nan)
     order = d + 1 if d else 0
-    for j, p in enumerate(pts):
-        w, cid, _, y, r, norm = _window_lp_weights(
-            dataset, p, h, order, kernel, order + 1, deriv=d
+    for b in _point_blocks(dataset, h, pts):
+        w, cell, _, y, r, norm = _window_lp_weights(
+            dataset, pts[b], h, order, kernel, order + 1, deriv=d
         )
-        out[w, j] = np.bincount(cid, r * y, minlength=n)[w] / norm[w]
+        vals = np.bincount(cell, r * y, minlength=w.size) / (norm + ~w)
+        out[:, b] = np.where(w, vals, np.nan).reshape(-1, n).T
     return out
 
 

@@ -5,14 +5,17 @@ import pytest
 from conftest import (
     assert_same_risk,
     constant_dataset,
+    jittered_curves,
     noise_stub,
     random_dataset,
     reg_stub,
 )
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.interpolate import RegularGridInterpolator
 
 from fdadapt import (
     BIWEIGHT,
+    BandwidthGrid,
     CurveObservations,
     EstimationError,
     InsufficientDataError,
@@ -348,6 +351,79 @@ class TestEstimateCovariance:
         with pytest.raises(ValidationError):
             estimate_covariance(ds, grid, grid, [], noise_stub(0.0),
                                 mean_stub(grid, 0.0))
+
+
+class TestSurfaceCells:
+    """Each cell of the surface against pair_inclusion_stats at its pair:
+    the cell's own pair off the band, the band boundary pair with the
+    same midpoint inside it."""
+
+    regs = [reg_stub(0.3, 0.6, L2=0.8), reg_stub(0.7, 1.3, L2=1.2)]
+    mean = 0.2
+
+    def surface(self, rng, grid_spec=None):
+        ds = make_dataset(jittered_curves(rng, 20, 60, 100))
+        grid = np.linspace(0.1, 0.9, 15)
+        return ds, grid, estimate_covariance(
+            ds, grid, grid, self.regs, noise_stub(0.05),
+            mean_stub(grid, self.mean), grid_spec=grid_spec)
+
+    def end(self, x):
+        """(order, alpha) of the anchor nearest to x."""
+        reg = min(self.regs, key=lambda r: abs(r.anchor_t2 - x))
+        return min(int(math.floor(reg.alpha_hat)), MAX_ORDER), reg.alpha_hat
+
+    def test_cells_are_pair_estimates(self, rng):
+        ds, grid, surf = self.surface(rng)
+        d = surf.band_width_d
+        lat_h = RegularGridInterpolator((surf.lattice, surf.lattice),
+                                        surf.lattice_h)
+        hs = BandwidthGrid.default_cov().values()
+        assert surf.in_band.any() and not surf.in_band.all()
+        assert not surf.undefined_mask.any()
+        for i, s in enumerate(grid):
+            for j, t in enumerate(grid):
+                a, b = sorted((s, t))
+                if surf.in_band[i, j]:
+                    u = np.clip(0.5 * (a + b), 0.5 * d + 1e-9,
+                                1.0 - 0.5 * d - 1e-9)
+                    a, b = u - 0.5 * d, u + 0.5 * d
+                h = surf.h_star[i, j]
+                ends = np.clip([a, b], surf.lattice[0], surf.lattice[-1])
+                want_h = np.clip(lat_h(ends)[0], hs[0], hs[-1])
+                if 2.0 * want_h < b - a:
+                    assert_allclose(h, want_h, rtol=1e-12)
+                else:
+                    assert h == 0.5 * (b - a) * (1.0 - 1e-9)
+                (oa, alpha_a), (ob, alpha_b) = self.end(a), self.end(b)
+                ps = pair_inclusion_stats(ds, a, b, h, oa, ob, BIWEIGHT, 2,
+                                          alpha_a, alpha_b)
+                value = ps.gamma_hat - self.mean * self.mean
+                assert surf.W_N_pair[i, j] == ps.W_pair
+                if not surf.in_band[i, j]:
+                    assert surf.values[i, j] == value
+                    assert surf.gamma_values[i, j] == ps.gamma_hat
+                    continue
+                # boundary pairs equal to 12 decimals share the estimate
+                # of the first of them, so the last bits may differ
+                assert_allclose(surf.values[i, j], value, rtol=1e-12)
+                assert surf.gamma_values[i, j] == (
+                    surf.values[i, j] + self.mean * self.mean)
+
+    def test_fallback_below_the_grid_floor_is_nan(self, rng):
+        # with a floor of 0.1 no grid bandwidth is admissible for pairs
+        # closer than 0.2; their fallback h = |t - s| / 2 is below it
+        spec = BandwidthGrid(0.1, 0.3, 9)
+        _, grid, surf = self.surface(rng, grid_spec=spec)
+        gap = np.abs(grid[:, None] - grid[None, :])
+        below = ~surf.in_band & (gap < 0.2)
+        assert below.any()
+        assert np.isnan(surf.values[below]).all()
+        assert np.isnan(surf.gamma_values[below]).all()
+        assert (surf.W_N_pair[below] == 0).all()
+        assert_array_equal(surf.h_star[below],
+                           0.5 * gap[below] * (1.0 - 1e-9))
+        assert np.isfinite(surf.values[gap > 0.22]).all()
 
 
 class TestDiagonalFillError:
