@@ -28,7 +28,6 @@ from .kernels import (
     Kernel,
     get_kernel,
     kernel_abs_moment,
-    lp_weights,
 )
 from .regularity import (
     NOISE_CONSTANT,

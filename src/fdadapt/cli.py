@@ -7,7 +7,6 @@ bad input files, 2 when estimation fails on valid input.
 """
 
 import argparse
-import math
 import sys
 from functools import partial
 
@@ -17,6 +16,7 @@ from .dataset import EvalGrid, ingest_long_csv, write_long_csv
 from .errors import FdadaptError, ValidationError
 from .evaluate import (
     ExperimentConfig,
+    _write_rows,
     fit,
     run_experiment,
     write_report_csv,
@@ -115,24 +115,6 @@ def _noise_from_args(args):
                          sd_fn=partial(_tv_sd_shape, sd=args.noise_sd))
     return NoiseSpec(kind=kind, sd=args.noise_sd,
                      sd_fn=partial(_state_sd_shape, sd=args.noise_sd))
-
-
-def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        return "" if math.isnan(x) else repr(x)
-    return str(x)
-
-
-def _write_rows(path, header, rows, preamble=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        if preamble:
-            fh.write(preamble + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
 def _cmd_simulate(args):

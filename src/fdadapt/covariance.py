@@ -21,6 +21,7 @@ from .errors import EstimationError, InsufficientDataError, ValidationError
 from .kernels import (BIWEIGHT, EPANECHNIKOV, MAX_ORDER, _point_blocks,
                       get_kernel)
 from .mean import (
+    INFINITE_RISK,
     BandwidthGrid,
     InclusionStats,
     _points_stats,
@@ -30,7 +31,6 @@ from .mean import (
 )
 from .regularity import RegularitySchedule, presmooth_matrix
 
-INFINITE_RISK = math.inf
 LATTICE_SIZE = 10
 
 

@@ -89,13 +89,11 @@ class FunctionalDataset:
             raise ValidationError("a dataset needs at least 2 curves")
         if self.design not in (DESIGN_INDEPENDENT, DESIGN_COMMON):
             raise ValidationError(f"unknown design {self.design!r}")
-        if self.design == DESIGN_COMMON:
-            t0 = self.curves[0].times
-            for c in self.curves[1:]:
-                if not np.array_equal(t0, c.times):
-                    raise ValidationError(
-                        "common design requires identical times on all curves"
-                    )
+        if (self.design == DESIGN_COMMON
+                and detect_design(self.curves) != DESIGN_COMMON):
+            raise ValidationError(
+                "common design requires identical times on all curves"
+            )
         lengths = np.array([len(c) for c in self.curves], dtype=np.intp)
         self.m_hat = float(lengths.sum()) / len(self.curves)
         self.lengths = lengths

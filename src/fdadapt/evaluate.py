@@ -326,8 +326,8 @@ def run_experiment(config, workers=None):
     """Run all replications of a study, in parallel when asked.
 
     Replication seeds derive from one spawning sequence indexed by
-    task, so results do not depend on the worker count. More than 5
-    percent failed replications aborts the study.
+    task, so results do not depend on the worker count. A study aborts
+    when 5 percent or more of its replications fail.
     """
     n_workers = _resolve_workers(workers)
     tasks = [
@@ -359,10 +359,21 @@ def run_experiment(config, workers=None):
 
 
 def _fmt(x):
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
     if isinstance(x, (float, np.floating)):
         x = float(x)
         return "" if math.isnan(x) else repr(x)
     return str(x)
+
+
+def _write_rows(path, header, rows, preamble=None):
+    with open(path, "w", encoding="utf-8") as fh:
+        if preamble:
+            fh.write(preamble + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
 REPORT_COLUMNS = ("config_id", "N", "m", "p", "rep", "ise_mean_tilde",
@@ -373,14 +384,10 @@ SUMMARY_COLUMNS = ("config_id", "N", "m", "p", "reps", "metric", "q25",
 
 
 def write_report_csv(report, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(REPORT_COLUMNS) + "\n")
-        for row in report.rows:
-            fh.write(",".join(_fmt(row[c]) for c in REPORT_COLUMNS) + "\n")
+    _write_rows(path, REPORT_COLUMNS,
+                ([row[c] for c in REPORT_COLUMNS] for row in report.rows))
 
 
 def write_summary_csv(report, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in report.summary:
-            fh.write(",".join(_fmt(row[c]) for c in SUMMARY_COLUMNS) + "\n")
+    _write_rows(path, SUMMARY_COLUMNS,
+                ([row[c] for c in SUMMARY_COLUMNS] for row in report.summary))

@@ -4,10 +4,11 @@ Order 0 weights are Nadaraya-Watson; higher orders solve the usual
 weighted least squares normal equations with the polynomial basis
 z^j / j!. A derivative variant returns the weights whose dot product
 with the curve values estimates the d-th derivative at the target.
-lp_coefficient_weights fits one curve; _window_lp_weights fits every
-curve of a dataset at a batch of (t, h) points at once and is what the
-estimators call, one call per block of at most _BLOCK_OBS windowed
-observations (_point_blocks).
+_window_lp_weights fits every curve of a dataset at a batch of (t, h)
+points at once, one call per block of at most _BLOCK_OBS windowed
+observations (_point_blocks). A fit is degenerate with fewer than k0
+times in [t-h, t+h] or a moment matrix whose smallest eigenvalue is at
+most SINGULAR_RTOL times its largest.
 """
 
 import math
@@ -98,115 +99,6 @@ def kernel_abs_moment(kernel, a):
     return 15.0 / ((a + 1.0) * (a + 3.0) * (a + 5.0))
 
 
-@dataclass(frozen=True)
-class LpWeights:
-    """Weights of a local polynomial fit at one target point.
-
-    ``indices`` are positions into the curve's time vector for which
-    |T_m - t| <= h; both arrays are empty when the fit is degenerate
-    (too few points in the window or a singular moment matrix).
-    """
-
-    target_t: float
-    bandwidth: float
-    order: int
-    indices: np.ndarray
-    weights: np.ndarray
-    degenerate: bool
-    in_window: int
-
-
-def _window(times, t, h):
-    z = (times - t) / h
-    idx = np.nonzero(np.abs(z) <= 1.0)[0]
-    return z, idx
-
-
-_EMPTY_F = np.empty(0, dtype=float)
-_EMPTY_I = np.empty(0, dtype=np.intp)
-
-
-def _degenerate(t, h, order, n_in):
-    return LpWeights(
-        target_t=float(t),
-        bandwidth=float(h),
-        order=int(order),
-        indices=_EMPTY_I,
-        weights=_EMPTY_F,
-        degenerate=True,
-        in_window=int(n_in),
-    )
-
-
-def lp_coefficient_weights(times, t, h, order, kernel, k0, deriv=0):
-    """Weights extracting the deriv-th fitted coefficient, scaled so that
-    weights @ values estimates the deriv-th derivative of the curve at t.
-
-    deriv=0 gives the ordinary LP value weights; order 0 is
-    Nadaraya-Watson. Returns an LpWeights record.
-    """
-    if h <= 0.0:
-        raise ValidationError("bandwidth h must be positive")
-    if not 0 <= order <= MAX_ORDER:
-        raise ValidationError(f"order must be in [0, {MAX_ORDER}]")
-    if not 0 <= deriv <= order:
-        raise ValidationError("deriv must satisfy 0 <= deriv <= order")
-    if k0 < order + 1:
-        raise ValidationError("k0 must be at least order + 1")
-    kernel = get_kernel(kernel)
-
-    times = np.asarray(times, dtype=float)
-    n_obs = times.size
-    z, idx = _window(times, t, h)
-    if idx.size < k0:
-        return _degenerate(t, h, order, idx.size)
-
-    zw = z[idx]
-    k = kernel(zw)
-
-    if order == 0:
-        s = k.sum()
-        if s <= 0.0:
-            return _degenerate(t, h, order, idx.size)
-        w = k / s
-    else:
-        # rows of V are z^j / j! for j = 0..order
-        V = np.empty((order + 1, idx.size))
-        V[0] = 1.0
-        for j in range(1, order + 1):
-            V[j] = V[j - 1] * zw / j
-        A = (V * k) @ V.T / (n_obs * h)
-        eigs = np.linalg.eigvalsh(A)
-        if eigs[0] <= SINGULAR_RTOL * eigs[-1] or eigs[-1] <= 0.0:
-            return _degenerate(t, h, order, idx.size)
-        e = np.zeros(order + 1)
-        e[deriv] = 1.0
-        row = np.linalg.solve(A, e)
-        w = (row @ V) * k / (n_obs * h)
-
-    if deriv > 0:
-        w = w / h**deriv
-
-    return LpWeights(
-        target_t=float(t),
-        bandwidth=float(h),
-        order=int(order),
-        indices=idx,
-        weights=w,
-        degenerate=False,
-        in_window=int(idx.size),
-    )
-
-
-def lp_weights(curve, t, h, order, kernel, k0):
-    """Local polynomial value weights for one curve at target t.
-
-    Degenerate (empty) when fewer than k0 observation times fall in
-    [t-h, t+h] or the moment matrix is numerically singular.
-    """
-    return lp_coefficient_weights(curve.times, t, h, order, kernel, k0, deriv=0)
-
-
 # windowed observations per batched call; each costs about 80 bytes
 _BLOCK_OBS = 1 << 13
 
@@ -238,14 +130,16 @@ def _window_lp_weights(dataset, t, h, order, kernel, k0, deriv=0):
     arrays that broadcast to (P,)), in one pass.
 
     The P window slices of the time-sorted layout are gathered into one
-    index array; per-(point, curve) moments give each cell's system (as
-    in lp_coefficient_weights, with its k0 count and SINGULAR_RTOL test),
-    all solved in one batch. Sums run in slice order, so a point's
-    results are those of a call at that point alone. Returns
-    (w, cell, z, y, r, norm): w (length P * N) flags the non-degenerate
-    cells; cell = point * N + curve, z = (T - t) / h, y and r describe
-    each windowed observation; r / norm[cell] are the weights of
-    lp_coefficient_weights(..., deriv=deriv), zero where w is false.
+    index array; per-(point, curve) moments give each cell's system, all
+    solved in one batch. A cell is degenerate with fewer than k0
+    observations at |z| <= 1, or when its moment matrix's largest
+    eigenvalue is not positive or its smallest is at most SINGULAR_RTOL
+    times the largest. Sums run in slice order, so a point's results are
+    those of a call at that point alone. Returns (w, cell, z, y, r, norm):
+    w (length P * N) flags the non-degenerate cells; cell = point * N +
+    curve, z = (T - t) / h, y and r describe each windowed observation;
+    r / norm[cell] are the weights whose dot product with y estimates the
+    deriv-th derivative at t, zero where w is false.
     """
     t, h = (np.ravel(x) for x in np.broadcast_arrays(
         np.asarray(t, dtype=float), np.asarray(h, dtype=float)))
@@ -260,7 +154,7 @@ def _window_lp_weights(dataset, t, h, order, kernel, k0, deriv=0):
     kernel = get_kernel(kernel)
     n, cells = dataset.n_curves, t.size * dataset.n_curves
 
-    # gather the padded slices, then keep the exact rule |z| <= 1 of _window
+    # gather the padded slices, then keep the exact rule |z| <= 1
     lo, hi = _window_bounds(dataset, t, h)
     count = hi - lo
     idx = np.arange(count.sum()) + np.repeat(hi - np.cumsum(count), count)

@@ -25,6 +25,7 @@ from .kernels import (
     EPANECHNIKOV,
     MAX_ORDER,
     _point_blocks,
+    _window_bounds,
     _window_lp_weights,
     get_kernel,
     kernel_abs_moment,
@@ -191,9 +192,7 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
     n, n_h = dataset.n_curves, hs.size
 
     # the slice of kernels._window_lp_weights at the widest bandwidth
-    pad = 1e-9 * (abs(t) + hs[-1])
-    lo, hi = dataset.sorted_times.searchsorted((t - hs[-1] - pad,
-                                                t + hs[-1] + pad))
+    lo, hi = _window_bounds(dataset, t, hs[-1])
     d = np.abs(dataset.sorted_times[lo:hi] - t)
     cid = dataset.sorted_curve[lo:hi]
     y = dataset.sorted_values[lo:hi]

@@ -27,7 +27,6 @@ from fdadapt import (
     fit,
     inclusion_stats,
     kernel_abs_moment,
-    lp_weights,
     make_dataset,
     mean_risk,
     pair_inclusion_stats,
@@ -37,6 +36,7 @@ from fdadapt import (
     write_report_csv,
     write_summary_csv,
 )
+from fdadapt.kernels import _window_lp_weights
 from scipy.integrate import quad
 
 
@@ -112,18 +112,25 @@ class TestCriterion01LocalPolynomialWeights:
             order = int(rng.integers(0, 3))
             t = float(rng.uniform(0.2, 0.8))
             h = float(rng.uniform(0.15, 0.4))
-            curve = CurveObservations(0, times, np.zeros(m))
-            lw = lp_weights(curve, t, h, order, BIWEIGHT, order + 1)
-            if lw.degenerate:
+            # the solver the fits run, on two copies of the curve (a
+            # dataset needs two); the values 0..m-1 name the position in
+            # times of each windowed observation
+            ds = make_dataset([CurveObservations(i, times, np.arange(m))
+                               for i in range(2)])
+            ok, cell, _, y, r, norm = _window_lp_weights(
+                ds, t, h, order, BIWEIGHT, order + 1)
+            if not ok[0]:
                 continue
-            w = lw.weights
-            tt = times[lw.indices] - t
+            first = cell == 0
+            w = r[first] / norm[0]
+            window_t = times[y[first].astype(int)]
+            tt = window_t - t
             assert abs(w.sum() - 1.0) <= 1e-8
             for d in range(1, order + 1):
                 assert abs((w * tt**d).sum()) <= 1e-8
             coef = rng.uniform(-2.0, 2.0, order + 1)
-            y = np.polyval(coef, times[lw.indices])
-            assert abs(w @ y - np.polyval(coef, t)) <= 1e-8
+            poly = np.polyval(coef, window_t)
+            assert abs(w @ poly - np.polyval(coef, t)) <= 1e-8
             checked += 1
         assert checked == 200
         print(f"criterion 1: 200 weight configurations verified "

@@ -1,16 +1,22 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import fdadapt
 from fdadapt import (
+    BandwidthGrid,
     CurveObservations,
     DesignSpec,
     EvalGrid,
     NoiseSpec,
     ProcessSpec,
     RegularitySchedule,
+    covariance,
     fit,
     ingest_long_csv,
     make_dataset,
@@ -211,6 +217,55 @@ class TestCov:
         c = float(frags["c"])
         assert 0.0 < d < 1.0
         assert 0.0 < c < 1.0
+
+    def test_off_diagonal_lattice_cells_filled(self, data_csv, tmp_path,
+                                               monkeypatch):
+        """With --h-min 0.06 no grid bandwidth is admissible for adjacent
+        lattice coordinates (0.101 apart), so the lattice reaches the fill
+        with NaN cells off the diagonal as well as on it."""
+        seen = []
+        fill = covariance._fill_lattice_nan
+
+        def spy(H):
+            seen.append(np.isnan(H))
+            return fill(H)
+
+        monkeypatch.setattr(covariance, "_fill_lattice_nan", spy)
+        assert main(["cov", "--h-min", "0.06", "--anchors", "6",
+                     "--data", str(data_csv),
+                     "--out", str(tmp_path / "cov.csv")]) == 0
+        # NaN exactly on the diagonal (10 cells) and next to it (18)
+        k, l = np.indices(seen[0].shape)
+        assert np.array_equal(seen[0], abs(k - l) <= 1)
+        surf = fit(ingest_long_csv(data_csv),
+                   EvalGrid.make_uniform(101).points,
+                   EvalGrid.make_uniform(21).points, n_anchors=6,
+                   cov_bandwidths=BandwidthGrid(h_min=0.06, h_max=0.1,
+                                                count=41)).cov
+        assert np.diff(surf.lattice)[0] > 0.1
+        assert np.isfinite(surf.lattice_h).all()
+
+
+class TestImportWithoutTestCode:
+    def test_package_imports_without_test_helpers(self, tmp_path):
+        """The package runs without pytest, hypothesis or the test helpers
+        (lp_oracle, conftest) on the path; the one-curve reference solver
+        lives only in the tests."""
+        code = "\n".join([
+            "import sys",
+            "for name in ('pytest', 'hypothesis', 'lp_oracle', 'conftest'):",
+            "    sys.modules[name] = None",
+            "import fdadapt.cli",
+            "import fdadapt.kernels",
+            "assert not hasattr(fdadapt, 'lp_weights')",
+            "assert not hasattr(fdadapt.kernels, 'lp_coefficient_weights')",
+        ])
+        package_root = os.path.dirname(os.path.dirname(fdadapt.__file__))
+        env = dict(os.environ, PYTHONPATH=package_root)
+        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestAnchorFailurePolicy:

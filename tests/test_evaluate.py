@@ -29,6 +29,7 @@ from fdadapt.evaluate import (
     SUMMARY_COLUMNS,
     _fmt,
     _resolve_workers,
+    _write_rows,
 )
 
 
@@ -277,3 +278,28 @@ class TestRunExperiment:
         slines = spath.read_text().splitlines()
         assert slines[0] == ",".join(SUMMARY_COLUMNS)
         assert len(slines) == 1 + len(report.summary)
+
+
+class TestWriteRows:
+    """The CSV writer behind every CLI output and the experiment reports."""
+
+    def test_cell_rules(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        _write_rows(out, ("a", "b", "c", "d"), [
+            (math.nan, np.bool_(True), np.float64(0.1), 3),
+            (np.float64(math.nan), np.bool_(False), np.float64(1.0 / 3.0),
+             np.int64(7)),
+            (2.5, True, False, "x"),
+        ], preamble="# d=0.25 c=0.5")
+        assert out.read_text().splitlines() == [
+            "# d=0.25 c=0.5",
+            "a,b,c,d",
+            ",1,0.1,3",
+            f",0,{float(1.0 / 3.0)!r},7",
+            "2.5,1,0,x",
+        ]
+
+    def test_no_preamble(self, tmp_path):
+        out = tmp_path / "rows.csv"
+        _write_rows(out, ("a",), [(np.float64(1e-17),)])
+        assert out.read_text() == "a\n1e-17\n"

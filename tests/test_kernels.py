@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lp_oracle import lp_coefficient_weights, lp_weights
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -15,11 +16,9 @@ from fdadapt import (
     ValidationError,
     get_kernel,
     kernel_abs_moment,
-    lp_weights,
     make_dataset,
     presmooth_matrix,
 )
-from fdadapt.kernels import lp_coefficient_weights
 
 
 def brute_force_weights(times, t, h, order, kernel, deriv=0):

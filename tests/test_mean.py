@@ -11,6 +11,7 @@ from conftest import (
     random_dataset,
     reg_stub,
 )
+from lp_oracle import lp_coefficient_weights
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fdadapt import (
@@ -31,7 +32,7 @@ from fdadapt import (
     mean_risk_terms,
     select_mean_bandwidth,
 )
-from fdadapt.kernels import MAX_ORDER, lp_coefficient_weights
+from fdadapt.kernels import MAX_ORDER
 from fdadapt.mean import plugin_variance
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import jittered_curves
+from lp_oracle import lp_coefficient_weights
 from numpy.testing import assert_allclose
 
 from fdadapt import (
@@ -23,7 +24,7 @@ from fdadapt import (
     presmooth_matrix,
     sample_dataset,
 )
-from fdadapt.kernels import EPANECHNIKOV, lp_coefficient_weights
+from fdadapt.kernels import EPANECHNIKOV
 from fdadapt.regularity import feasible_anchor_bounds, regularity_at_anchors
 from fdadapt.simulate import NO_NOISE
 
