@@ -42,7 +42,8 @@ class PairInclusionStats:
     A curve enters the pair estimate only when its fit is
     non-degenerate at both coordinates. The directional fields with
     suffix ts describe smoothing at t conditioned on inclusion at s,
-    and st the reverse.
+    and st the reverse. gamma_hat is None when built from grid records,
+    which carry no xhat.
     """
 
     s: float
@@ -54,12 +55,13 @@ class PairInclusionStats:
     N_gamma_st: float | np.ndarray
     C_bar1_ts: float | np.ndarray
     C_bar1_st: float | np.ndarray
-    gamma_hat: float | np.ndarray
+    gamma_hat: float | np.ndarray | None
 
 
 def combine_pair_stats(stats_s: InclusionStats, stats_t: InclusionStats):
     """Compose per-coordinate inclusion stats into pair-level stats, at
-    one h or over a grid (gamma_hat is NaN where no pair is included)."""
+    one h or over a grid (gamma_hat is NaN where no pair is included, and
+    None when either record has no xhat)."""
     if not np.array_equal(stats_s.h, stats_t.h):
         raise ValidationError("pair stats need a common bandwidth")
     w_pair = stats_s.w & stats_t.w
@@ -78,8 +80,10 @@ def combine_pair_stats(stats_s: InclusionStats, stats_t: InclusionStats):
 
     n_ts, cb_ts = direction(stats_t)
     n_st, cb_st = direction(stats_s)
-    prod_sum = included_sum(stats_s.xhat * stats_t.xhat)
-    gamma_hat = np.where(W_pair > 0, prod_sum / per_pair, np.nan)[()]
+    gamma_hat = None
+    if stats_s.xhat is not None and stats_t.xhat is not None:
+        prod_sum = included_sum(stats_s.xhat * stats_t.xhat)
+        gamma_hat = np.where(W_pair > 0, prod_sum / per_pair, np.nan)[()]
     return PairInclusionStats(
         s=stats_s.t, t=stats_t.t, h=stats_s.h, w_pair=w_pair,
         W_pair=W_pair, N_gamma_ts=n_ts, N_gamma_st=n_st,

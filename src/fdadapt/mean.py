@@ -71,7 +71,8 @@ class InclusionStats:
     NaN where w is false. alpha_exponent is the exponent used for
     c_alpha (callers pass twice the regularity estimate). In a grid
     record (inclusion_stats_over_grid) h, W_N, N_mu and C_bar1 have
-    shape (n_h,) and the per-curve arrays (n_h, N), row k at h[k]. A
+    shape (n_h,) and the per-curve arrays (n_h, N), row k at h[k]; it
+    holds only what the bandwidth searches read, so its xhat is None. A
     point record (_points_stats) has the same point axis, and t and
     alpha_exponent may also be given per point.
     """
@@ -88,7 +89,7 @@ class InclusionStats:
     N_i: np.ndarray
     N_mu: float | np.ndarray
     C_bar1: float | np.ndarray
-    xhat: np.ndarray
+    xhat: np.ndarray | None
 
 
 def inclusion_stats(dataset, t, h, order, kernel, k0, alpha):
@@ -130,7 +131,8 @@ def _points_stats(dataset, t, h, order, kernel, k0, alpha):
 
 def _stats(t, h, order, alpha, w, c1, c_alpha, maxw, xhat):
     """The record at one (t, h) (per-curve arrays of shape (N,)) or at P
-    points or grid bandwidths (per-curve arrays (P, N))."""
+    points or grid bandwidths (per-curve arrays (P, N)); xhat may be
+    None."""
     W_N = np.count_nonzero(w, axis=-1)
     # stacked dot products; each row equals its own c1 @ maxw bit for bit
     denom = (c1[..., None, :] @ maxw[..., :, None])[..., 0, 0]
@@ -156,25 +158,39 @@ def _stats(t, h, order, alpha, w, c1, c_alpha, maxw, xhat):
     )
 
 
-# At order 0 the sweep reads K(z) from cumulative sums only where
-# |z| <= _CORE; nearer the window edge the polynomial form cancels.
-_CORE = 0.9
+# Each kernel is K(z) = c_0 (1 - z^2)^p, and its expanded polynomial in
+# z^2 loses a factor ((1 + z^2) / (1 - z^2))^p to cancellation. The
+# order-0 sweep reads K from cumulative sums only where that factor is at
+# most _CANCELLATION (relative error about 512 eps = 1.1e-13).
+_CANCELLATION = 512.0
+
+
+def _core_bound(kernel):
+    """The largest |z| at which kernel's polynomial form loses at most a
+    factor _CANCELLATION: 1 for the uniform kernel, whose form is exact."""
+    p = len(kernel.z2_coeffs) - 1
+    if p == 0:
+        return 1.0
+    r = _CANCELLATION ** (1.0 / p)
+    return math.sqrt((r - 1.0) / (r + 1.0))
 
 
 def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
     """inclusion_stats(dataset, t, h, ...) for every h of an increasing
     bandwidth grid hs, as one InclusionStats whose fields have a leading
-    bandwidth axis: row k holds the statistics at hs[k].
+    bandwidth axis: row k holds the statistics at hs[k]. The record
+    carries what the bandwidth searches read and no xhat (None).
 
     At order >= 1 the points (t, hs[k]) go through _points_stats in
     blocks. At order 0 the whole grid comes from one window slice at
     hs[-1]. With u = T - t and K(z) = sum_j c_j z^(2j), each per-curve
-    sum is a combination over j of cumulative per-curve sums of
-    |u|^(2j), |u|^(2j+alpha) and y u^(2j), taken over the observations
-    whose |u| / h is at most _CORE. For the observations nearer the window
-    edge, K is evaluated directly at each bandwidth that holds them.
-    Window membership, the k0 counts and so w and W_N are exact; the
-    other summaries match inclusion_stats to rounding.
+    sum is a combination over j of cumulative per-curve sums of |u|^(2j)
+    and |u|^(2j+alpha), taken over the observations whose |u| / h is at
+    most _core_bound(kernel). For the observations nearer the window edge
+    (none for the uniform kernel), K is evaluated directly at each
+    bandwidth that holds them. Window membership, the k0 counts and so w
+    and W_N are exact; the other summaries match inclusion_stats to
+    rounding.
     """
     hs = np.asarray(hs, dtype=float)
     if (hs.ndim != 1 or not hs.size or hs[0] <= 0.0
@@ -186,7 +202,7 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
                   for b in _point_blocks(dataset, hs, t)]
         return _stats(t, hs, order, alpha, *(
             np.concatenate([getattr(s, name) for s in blocks])
-            for name in ("w", "c1", "c_alpha", "max_abs_w", "xhat")))
+            for name in ("w", "c1", "c_alpha", "max_abs_w")), None)
     if k0 < 1:
         raise ValidationError("k0 must be at least order + 1")
     n, n_h = dataset.n_curves, hs.size
@@ -195,47 +211,45 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
     lo, hi = _window_bounds(dataset, t, hs[-1])
     d = np.abs(dataset.sorted_times[lo:hi] - t)
     cid = dataset.sorted_curve[lo:hi]
-    y = dataset.sorted_values[lo:hi]
 
     # entry: the first bandwidth holding each observation by the rule
     # |u / h| <= 1 of kernels._window_lp_weights (n_h when none does).
     # For positive floats the rounded d / h is at most 1 exactly when
     # d <= h, so a search on d itself applies that rule. core: the first
-    # bandwidth with d <= _CORE h.
+    # bandwidth with d <= _core_bound(kernel) h.
     entry = hs.searchsorted(d)
-    core = (_CORE * hs).searchsorted(d)
+    core = (_core_bound(kernel) * hs).searchsorted(d)
 
     # per-curve in-window counts at every bandwidth, exact integers
     into = entry < n_h
     counts = np.bincount(entry[into] * n + cid[into], minlength=n_h * n)
     counts = counts.reshape(n_h, n).cumsum(axis=0)
 
-    # S, A, Y: per-curve sums of K, K |z|^alpha and K y at every
-    # bandwidth. Core part: per j, the cumulative sums of |u|^(2j) times
-    # 1, |u|^alpha and y, scaled by c_j / h^(2j) (and h^-alpha for A)
-    S, A, Y = np.zeros((3, n_h, n))
+    # S, A: per-curve sums of K and K |z|^alpha at every bandwidth. Core
+    # part: per j, the cumulative sums of |u|^(2j) and |u|^(2j+alpha),
+    # scaled by c_j / h^(2j) and c_j / h^(2j+alpha)
+    S, A = np.zeros((2, n_h, n))
     inner = core < n_h
-    cells, di, yi = core[inner] * n + cid[inner], d[inner], y[inner]
-    da, ha = di ** alpha, hs ** alpha
+    cells, di = core[inner] * n + cid[inner], d[inner]
+    da, ha = d ** alpha, hs ** alpha
+    dai = da[inner]
     dj, hj = np.ones(di.size), np.ones(n_h)  # |u|^(2j), h^(2j)
     for c in kernel.z2_coeffs:
-        for total, v, hv in ((S, dj, hj), (A, dj * da, hj * ha),
-                             (Y, dj * yi, hj)):
+        for total, v, hv in ((S, dj, hj), (A, dj * dai, hj * ha)):
             part = _bins(cells, v, n_h, n).cumsum(axis=0)
             part *= (c / hv)[:, None]
             total += part
         dj, hj = dj * di * di, hj * hs * hs
     # edge part: K itself at each (observation, bandwidth) pair with
-    # _CORE < |z| <= 1, one bandwidth further into each run per pass
+    # _core_bound(kernel) < |z| <= 1, one bandwidth further into each run
+    # per pass
     edge = np.flatnonzero(core > entry)
     k = entry[edge]
     while edge.size:
-        z = d[edge] / hs[k]
-        K = kernel(z)
+        K = kernel(d[edge] / hs[k])
         cells = k * n + cid[edge]
         S += _bins(cells, K, n_h, n)
-        A += _bins(cells, K * z ** alpha, n_h, n)
-        Y += _bins(cells, K * y[edge], n_h, n)
+        A += _bins(cells, K * da[edge] / ha[k], n_h, n)
         k += 1
         more = k < core[edge]
         edge, k = edge[more], k[more]
@@ -247,8 +261,7 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
     denom = np.where(w, S, 1.0)
     c_alpha = np.where(w, A, 0.0) / denom
     maxw = np.where(w, kernel(near / hs[:, None]), 0.0) / denom
-    xhat = np.where(w, Y, np.nan) / denom
-    return _stats(t, hs, 0, alpha, w, w.astype(float), c_alpha, maxw, xhat)
+    return _stats(t, hs, 0, alpha, w, w.astype(float), c_alpha, maxw, None)
 
 
 def _bins(cells, weights, n_h, n):

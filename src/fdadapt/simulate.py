@@ -245,10 +245,12 @@ def sample_dataset(spec, design, noise, n_curves, seed, eval_grid=None):
     """Draw a synthetic dataset of n_curves noisy curves.
 
     Per curve: observation times per the design, a latent Gaussian path
-    from the exact covariance (symmetric square root with tiny-negative
-    eigenvalue clipping), the mean added, then noise. When eval_grid is
-    given, latent values on the grid are sampled jointly with the
-    observed ones, so they are the same realization.
+    from the exact covariance C, the mean added, then noise. The path is
+    the eigenvector factor V diag(lambda)^(1/2) of C times standard
+    normal draws; the factor is not symmetric, but its product with its
+    own transpose is C (tiny negative eigenvalues are clipped to zero).
+    When eval_grid is given, latent values on the grid are sampled
+    jointly with the observed ones, so they are the same realization.
 
     The seed stream is split per curve, so generation order (or worker
     parallelism) cannot change the output.

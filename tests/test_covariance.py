@@ -15,6 +15,8 @@ from scipy.interpolate import RegularGridInterpolator
 
 from fdadapt import (
     BIWEIGHT,
+    EPANECHNIKOV,
+    UNIFORM,
     BandwidthGrid,
     CurveObservations,
     EstimationError,
@@ -28,6 +30,7 @@ from fdadapt import (
     diagonal_fill_error,
     estimate_covariance,
     inclusion_stats,
+    inclusion_stats_over_grid,
     make_dataset,
     pair_inclusion_stats,
     select_cov_bandwidth,
@@ -78,6 +81,30 @@ class TestPairStats:
             denom_s = (ss.c1[inc] * ss.max_abs_w[inc]).sum()
             assert_allclose(ps.N_gamma_st, ps.W_pair**2 / denom_s,
                             rtol=1e-12)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_grid_records_give_no_gamma_hat(self, rng, order):
+        ds = random_dataset(rng, n_curves=8, n_lo=15, n_hi=30)
+        s, t = 0.3, 0.7
+        hs = BandwidthGrid.default_cov().values()
+        k0 = order + 1
+        ps = combine_pair_stats(
+            inclusion_stats_over_grid(ds, s, hs, order, BIWEIGHT, k0, 1.0),
+            inclusion_stats_over_grid(ds, t, hs, 0, BIWEIGHT, 2, 1.4))
+        assert ps.gamma_hat is None
+        assert (ps.s, ps.t) == (s, t)
+        assert_array_equal(ps.h, hs)
+        assert ps.W_pair.any() and not ps.W_pair.all()
+        for k, h in enumerate(hs):
+            want = combine_pair_stats(
+                inclusion_stats(ds, s, h, order, BIWEIGHT, k0, 1.0),
+                inclusion_stats(ds, t, h, 0, BIWEIGHT, 2, 1.4))
+            assert_array_equal(ps.w_pair[k], want.w_pair)
+            assert ps.W_pair[k] == want.W_pair
+            for name in ("N_gamma_ts", "N_gamma_st", "C_bar1_ts",
+                         "C_bar1_st"):
+                assert_allclose(getattr(ps, name)[k], getattr(want, name),
+                                rtol=1e-12, atol=0)
 
     def test_mismatched_bandwidths_rejected(self, rng):
         ds = random_dataset(rng)
@@ -210,22 +237,24 @@ class TestSelectCovBandwidth:
 
 class TestCovRiskOverGrid:
     """select_cov_bandwidth's term arrays against a per-h loop of
-    combine_pair_stats and covariance_risk_terms."""
+    combine_pair_stats and covariance_risk_terms, with the biweight kernel
+    (the subclasses below repeat every test with the other kernels)."""
 
-    @staticmethod
-    def check(ds, s, t, reg_s, reg_t, k0=2):
+    kernel = BIWEIGHT
+
+    def check(self, ds, s, t, reg_s, reg_t, k0=2):
         noise, m2_s, m2_t, var_p = noise_stub(0.02), 1.3, 0.9, 0.6
         N = ds.n_curves
         prof = select_cov_bandwidth(ds, s, t, reg_s, reg_t, noise, m2_s,
-                                    m2_t, var_p, BIWEIGHT, k0)
+                                    m2_t, var_p, self.kernel, k0)
         order_s = min(int(math.floor(reg_s.alpha_hat)), MAX_ORDER)
         order_t = min(int(math.floor(reg_t.alpha_hat)), MAX_ORDER)
         want, W = [], []
         for h in prof.bandwidths:
             ps = combine_pair_stats(
-                inclusion_stats(ds, s, h, order_s, BIWEIGHT,
+                inclusion_stats(ds, s, h, order_s, self.kernel,
                                 max(k0, order_s + 1), 2.0 * reg_s.alpha_hat),
-                inclusion_stats(ds, t, h, order_t, BIWEIGHT,
+                inclusion_stats(ds, t, h, order_t, self.kernel,
                                 max(k0, order_t + 1), 2.0 * reg_t.alpha_hat),
             )
             W.append(ps.W_pair)
@@ -260,6 +289,14 @@ class TestCovRiskOverGrid:
         prof = self.check(ds, s, t, reg_stub(s, 1.3, L2=0.8),
                           reg_stub(t, 0.6), k0=3)
         assert np.isfinite(prof.total).any()
+
+
+class TestCovRiskOverGridUniform(TestCovRiskOverGrid):
+    kernel = UNIFORM
+
+
+class TestCovRiskOverGridEpanechnikov(TestCovRiskOverGrid):
+    kernel = EPANECHNIKOV
 
 
 class TestEstimateCovariance:

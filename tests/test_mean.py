@@ -33,7 +33,7 @@ from fdadapt import (
     select_mean_bandwidth,
 )
 from fdadapt.kernels import MAX_ORDER
-from fdadapt.mean import plugin_variance
+from fdadapt.mean import _core_bound, plugin_variance
 
 
 def common_dataset(rng, n_curves, m):
@@ -227,9 +227,7 @@ class TestInclusionStatsOracle:
 
 
 def lifted(curves):
-    """The curves with values 1 + |y|. With positive values the sums
-    of K y do not cancel, so xhat can be compared at a relative
-    tolerance."""
+    """The curves with values 1 + |y|."""
     return make_dataset([
         CurveObservations(c.curve_id, c.times, 1.0 + np.abs(c.values))
         for c in curves
@@ -241,7 +239,7 @@ def grid_row(grid, k):
     return dataclasses.replace(grid, **{
         name: getattr(grid, name)[k]
         for name in ("h", "w", "W_N", "c1", "c_alpha", "max_abs_w", "N_i",
-                     "N_mu", "C_bar1", "xhat")})
+                     "N_mu", "C_bar1")})
 
 
 class TestInclusionStatsOverGrid:
@@ -253,7 +251,7 @@ class TestInclusionStatsOverGrid:
         n_h, n = len(hs), ds.n_curves
         for name in ("h", "W_N", "N_mu", "C_bar1"):
             assert np.shape(getattr(grid, name)) == (n_h,)
-        for name in ("w", "c1", "c_alpha", "max_abs_w", "N_i", "xhat"):
+        for name in ("w", "c1", "c_alpha", "max_abs_w", "N_i"):
             assert np.shape(getattr(grid, name)) == (n_h, n)
         for k, h in enumerate(hs):
             got = grid_row(grid, k)
@@ -263,8 +261,7 @@ class TestInclusionStatsOverGrid:
             assert_array_equal(got.w, want.w)
             assert got.W_N == want.W_N
             assert_array_equal(got.c1, want.c1)
-            for name in ("c_alpha", "max_abs_w", "xhat", "N_i", "N_mu",
-                         "C_bar1"):
+            for name in ("c_alpha", "max_abs_w", "N_i", "N_mu", "C_bar1"):
                 if rtol == 0:
                     assert_array_equal(getattr(got, name),
                                        getattr(want, name))
@@ -315,6 +312,54 @@ class TestInclusionStatsOverGrid:
         assert grid.W_N[4] == 6 + on_edge
         assert grid.w[0, 2]
         assert grid.w[6, 3] and not grid.w[5, 3]
+
+    @pytest.mark.parametrize("kernel", [UNIFORM, EPANECHNIKOV, BIWEIGHT])
+    def test_observations_at_core_bound(self, rng, kernel):
+        # dyadic t and bandwidths; at hs[k] of k = 3, 10 and 20 points just
+        # outside and just inside c hs[k], where the sweep switches from
+        # evaluating K directly to cumulative sums, and points at
+        # hs[k] (1 - 2^-12), where K is nearly zero
+        t, hs = 0.5, np.arange(1, 33) / 64.0
+        c = _core_bound(kernel)
+        out, inside, edge = 1 + 2.0**-20, 1 - 2.0**-20, 1 - 2.0**-12
+        near_core = [
+            t + hs[3] * np.array([-c * out, c * inside, 7.0]),
+            t + hs[10] * np.array([-edge, -c * inside, c * out]),
+            # alone in the window at k = 20
+            t + hs[20] * np.array([-edge, edge]),
+            t + hs[10] * np.array([-c * out, -c * inside, c * inside,
+                                   c * out]),
+        ]
+        curves = [CurveObservations(i, np.sort(ts),
+                                    rng.standard_normal(ts.size))
+                  for i, ts in enumerate(near_core)]
+        ds = lifted(curves + jittered_curves(rng, 4, 30, 60, len(curves)))
+        grid = self.check(ds, t, hs, 0, kernel, 2, 1.7)
+        assert grid.w[3, 0] == (kernel is not UNIFORM)
+        assert grid.w[10, 1] and grid.w[20, 2] and grid.w[10, 3]
+
+    @pytest.mark.parametrize("kernel", [UNIFORM, EPANECHNIKOV, BIWEIGHT])
+    def test_core_bound_meets_cancellation_bound(self, kernel):
+        c = _core_bound(kernel)
+        p = len(kernel.z2_coeffs) - 1
+        if p == 0:
+            assert c == 1.0
+        else:
+            assert 0.0 < c < 1.0
+            assert_allclose(((1 + c * c) / (1 - c * c)) ** p, 512.0,
+                            rtol=1e-12)
+        assert_allclose(c, {UNIFORM: 1.0, EPANECHNIKOV: 0.99805,
+                            BIWEIGHT: 0.95674}[kernel], atol=5e-6)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_grid_records_carry_no_xhat(self, rng, order):
+        ds = edge_dataset(rng)
+        hs = BandwidthGrid(0.05, 0.4, 21).values()
+        grid = inclusion_stats_over_grid(ds, 0.5, hs, order, BIWEIGHT,
+                                         order + 2, 1.3)
+        assert grid.xhat is None
+        assert inclusion_stats(ds, 0.5, hs[-1], order, BIWEIGHT, order + 2,
+                               1.3).xhat.shape == (ds.n_curves,)
 
     def test_k0_three(self, rng):
         ds = lifted(jittered_curves(rng, 10, 20, 60))
@@ -469,21 +514,23 @@ class TestSelectMeanBandwidth:
 
 class TestMeanRiskOverGrid:
     """select_mean_bandwidth's term arrays against a per-h loop of
-    inclusion_stats and mean_risk_terms."""
+    inclusion_stats and mean_risk_terms, with the biweight kernel (the
+    subclasses below repeat every test with the other kernels)."""
 
-    @staticmethod
-    def check(ds, t, reg, grid_spec, use_moment_approx=False, k0=2):
+    kernel = BIWEIGHT
+
+    def check(self, ds, t, reg, grid_spec, use_moment_approx=False, k0=2):
         noise, var_X_t, N = noise_stub(0.03), 0.8, ds.n_curves
         prof = select_mean_bandwidth(
-            ds, t, reg, noise, var_X_t, BIWEIGHT, k0, grid_spec=grid_spec,
+            ds, t, reg, noise, var_X_t, self.kernel, k0, grid_spec=grid_spec,
             use_moment_approx=use_moment_approx,
         )
         order = min(int(math.floor(reg.alpha_hat)), MAX_ORDER)
-        cb = (kernel_abs_moment(BIWEIGHT, 2.0 * reg.alpha_hat)
+        cb = (kernel_abs_moment(self.kernel, 2.0 * reg.alpha_hat)
               if use_moment_approx else None)
         want = []
         for h in prof.bandwidths:
-            stats = inclusion_stats(ds, t, h, order, BIWEIGHT,
+            stats = inclusion_stats(ds, t, h, order, self.kernel,
                                     max(k0, order + 1), 2.0 * reg.alpha_hat)
             want.append(mean_risk_terms(stats, reg, noise, var_X_t, N,
                                         c_bar1=cb))
@@ -518,6 +565,14 @@ class TestMeanRiskOverGrid:
         ds = make_dataset(jittered_curves(rng, 10, 20, 60))
         self.check(ds, 0.37, reg_stub(0.37, alpha=0.8),
                    BandwidthGrid(0.005, 0.3, 101), k0=3)
+
+
+class TestMeanRiskOverGridUniform(TestMeanRiskOverGrid):
+    kernel = UNIFORM
+
+
+class TestMeanRiskOverGridEpanechnikov(TestMeanRiskOverGrid):
+    kernel = EPANECHNIKOV
 
 
 class TestPluginVariance:
