@@ -206,7 +206,7 @@ def diagonal_band_width(dataset, alpha_hat):
     """Width of the diagonal band excluded from direct estimation."""
     if alpha_hat <= 0.0:
         raise ValidationError("alpha_hat must be positive")
-    inv = sum(1.0 / c.times.size for c in dataset.curves)
+    inv = sum((1.0 / dataset.lengths).tolist())
     base = inv / dataset.n_curves**2
     c = band_exponent(alpha_hat)
     return float(base**c)

@@ -6,8 +6,10 @@ design. Long-format CSV files (curve_id,t,y) are the on-disk form.
 """
 
 import csv
+import functools
 import itertools
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -59,72 +61,96 @@ class CurveObservations:
         return self.times.size
 
 
-@dataclass
 class FunctionalDataset:
     """N curves plus design metadata; treated as immutable once built.
 
-    ``m_hat`` is the arithmetic mean of the curve lengths. The
-    time-sorted copy of all observations built at construction time
-    lets a window [t-h, t+h] be taken as one slice for every curve.
+    The observations are stored as columns: ``times_flat`` and
+    ``values_flat`` hold the curves one after another, each sorted by
+    time, with ``lengths`` observations each. The time-sorted copy of all
+    observations lets a window [t-h, t+h] be taken as one slice for every
+    curve. ``curves`` gives the same data as CurveObservations, built on
+    first use over views of the columns. ``m_hat`` is the arithmetic mean
+    of the curve lengths. ``design`` None detects the design; a declared
+    common design must have identical times on all curves.
     """
 
-    curves: tuple
-    design: str
-    m_hat: float = field(init=False)
-    time_transform: tuple = None
-
-    # flat layout: the curves' observations one curve after another
-    times_flat: np.ndarray = field(init=False, repr=False)
-    values_flat: np.ndarray = field(init=False, repr=False)
-    lengths: np.ndarray = field(init=False, repr=False)
-    # time-sorted layout: every observation, ordered by time (ties keep
-    # curve order), with the index of the curve it belongs to
-    sorted_times: np.ndarray = field(init=False, repr=False)
-    sorted_values: np.ndarray = field(init=False, repr=False)
-    sorted_curve: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.curves = tuple(self.curves)
-        if len(self.curves) < 2:
+    def __init__(self, curves, design, time_transform=None):
+        curves = tuple(curves)
+        if len(curves) < 2:
             raise ValidationError("a dataset needs at least 2 curves")
-        if self.design not in (DESIGN_INDEPENDENT, DESIGN_COMMON):
-            raise ValidationError(f"unknown design {self.design!r}")
-        if (self.design == DESIGN_COMMON
-                and detect_design(self.curves) != DESIGN_COMMON):
-            raise ValidationError(
-                "common design requires identical times on all curves"
-            )
-        lengths = np.array([len(c) for c in self.curves], dtype=np.intp)
-        self.m_hat = float(lengths.sum()) / len(self.curves)
+        self._set_columns(
+            np.array([c.curve_id for c in curves]),
+            np.concatenate([c.times for c in curves]),
+            np.concatenate([c.values for c in curves]),
+            np.array([len(c) for c in curves], dtype=np.intp), design)
+        self.time_transform = time_transform
+
+    @classmethod
+    def _from_columns(cls, curve_ids, times, values, lengths, design=None):
+        """A dataset over columns that already hold valid curves (sorted
+        times in (0,1), finite values), which are not checked again."""
+        ds = cls.__new__(cls)
+        ds._set_columns(curve_ids, times, values, lengths, design)
+        ds.time_transform = None
+        return ds
+
+    def _set_columns(self, curve_ids, times, values, lengths, design):
+        if lengths.size < 2:
+            raise ValidationError("a dataset needs at least 2 curves")
+        if design not in (None, DESIGN_INDEPENDENT, DESIGN_COMMON):
+            raise ValidationError(f"unknown design {design!r}")
+        if design != DESIGN_INDEPENDENT:
+            found = _design(times, lengths)
+            if design == DESIGN_COMMON and found != DESIGN_COMMON:
+                raise ValidationError(
+                    "common design requires identical times on all curves"
+                )
+            design = found
+        self.design = design
+        self._curve_ids = curve_ids
+        self.times_flat = times
+        self.values_flat = values
         self.lengths = lengths
-        self.times_flat = np.concatenate([c.times for c in self.curves])
-        self.values_flat = np.concatenate([c.values for c in self.curves])
-        order = np.argsort(self.times_flat, kind="stable")
-        self.sorted_times = self.times_flat[order]
-        self.sorted_values = self.values_flat[order]
+        self.m_hat = float(lengths.sum()) / lengths.size
+        # time-sorted layout: every observation, ordered by time (ties
+        # keep curve order), with the index of the curve it belongs to
+        order = np.argsort(times, kind="stable")
+        self.sorted_times = times[order]
+        self.sorted_values = values[order]
         self.sorted_curve = np.repeat(np.arange(lengths.size), lengths)[order]
 
     @property
     def n_curves(self):
-        return len(self.curves)
+        return self.lengths.size
+
+    @functools.cached_property
+    def curves(self):
+        """The curves as CurveObservations, in storage order."""
+        bounds = np.cumsum(self.lengths)[:-1]
+        return tuple(map(CurveObservations, self._curve_ids.tolist(),
+                         np.split(self.times_flat, bounds),
+                         np.split(self.values_flat, bounds)))
+
+
+def _design(times, lengths):
+    """Common iff all curves have the same length and identical times."""
+    m = lengths[0]
+    if (lengths == m).all() and (times.reshape(-1, m) == times[:m]).all():
+        return DESIGN_COMMON
+    return DESIGN_INDEPENDENT
 
 
 def detect_design(curves):
     """Common iff every curve's time vector is identical."""
-    t0 = curves[0].times
-    for c in curves[1:]:
-        if not np.array_equal(t0, c.times):
-            return DESIGN_INDEPENDENT
-    return DESIGN_COMMON
+    return _design(np.concatenate([c.times for c in curves]),
+                   np.array([len(c) for c in curves]))
 
 
 def make_dataset(curves, design=None):
     curves = tuple(curves)
     if not curves:
         raise ValidationError("empty dataset")
-    if design is None:
-        design = detect_design(curves)
-    return FunctionalDataset(curves=curves, design=design)
+    return FunctionalDataset(curves, design)
 
 
 @dataclass(frozen=True)
@@ -162,6 +188,7 @@ class EvalGrid:
 
 
 _CSV_HEADER = ["curve_id", "t", "y"]
+_CSV_DTYPE = [("c", "i8"), ("t", "f8"), ("y", "f8")]
 
 
 def ingest_long_csv(path, rescale=False):
@@ -172,7 +199,22 @@ def ingest_long_csv(path, rescale=False):
     mapped affinely into the unit interval and the (offset, scale) pair
     is recorded on the dataset; otherwise out-of-domain times are an
     error. Blank lines are skipped; an error names the first bad line.
+
+    numpy's C parser reads the body first. When it cannot vouch for the
+    file (it raises or warns, or a value is not finite, a time lies
+    outside (0,1) or repeats within a curve), the block parser of
+    _read_rows reads it again: it alone keeps line numbers, and it
+    parses, or rejects, every file as it would on its own.
     """
+    ds = _read_long_csv(path, rescale, fast=True)
+    if ds is None:
+        ds = _read_long_csv(path, rescale, fast=False)
+    return ds
+
+
+def _read_long_csv(path, rescale, fast):
+    """ingest_long_csv with the C parser (fast; None where it cannot
+    vouch for the file) or with the block parser."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -183,13 +225,20 @@ def ingest_long_csv(path, rescale=False):
                 f"{path}: line 1: expected header curve_id,t,y, "
                 f"got {','.join(header)!r}"
             )
-        blocks, first = [], 2
-        while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
-            blocks.append(_read_rows(path, rows, first))
-            first += len(rows)
-    if not sum(b[0].size for b in blocks):
-        raise ValidationError(f"{path}: no data rows")
-    lines, cid, t, y = map(np.concatenate, zip(*blocks))
+        if fast:
+            lines = None
+            columns = _load_columns(fh)
+            if columns is None:
+                return None
+            cid, t, y = columns
+        else:
+            blocks, first = [], 2
+            while rows := list(itertools.islice(reader, _BLOCK_ROWS)):
+                blocks.append(_read_rows(path, rows, first))
+                first += len(rows)
+            if not sum(b[0].size for b in blocks):
+                raise ValidationError(f"{path}: no data rows")
+            lines, cid, t, y = map(np.concatenate, zip(*blocks))
 
     offset, scale = 0.0, 1.0
     if rescale and (t.min() <= 0.0 or t.max() >= 1.0):
@@ -203,6 +252,8 @@ def ingest_long_csv(path, rescale=False):
     else:
         bad = np.flatnonzero((t <= 0.0) | (t >= 1.0))
         if bad.size:
+            if lines is None:
+                return None
             i = bad[0]
             raise ValidationError(
                 f"{path}: line {lines[i]}: t={float(t[i])} outside (0,1)"
@@ -210,24 +261,47 @@ def ingest_long_csv(path, rescale=False):
 
     # curves in curve_id order, each by time; ties keep file order
     order = np.lexsort((t, cid))
-    cid, t, y, lines = cid[order], t[order], y[order], lines[order]
+    cid, t, y = cid[order], t[order], y[order]
     new_curve = np.diff(cid) != 0
     dup = np.flatnonzero(~new_curve & (np.diff(t) == 0.0))
     if dup.size:
+        if lines is None:
+            return None
         i = dup[0]
         raise ValidationError(
-            f"{path}: line {lines[i + 1]}: duplicate time {t[i]} in curve "
-            f"{cid[i]}"
+            f"{path}: line {lines[order][i + 1]}: duplicate time {t[i]} in "
+            f"curve {cid[i]}"
+        )
+    # rescaled times can round onto 0 or 1 when the span is tiny
+    # against the offset
+    out = (t <= 0.0) | (t >= 1.0)
+    if out.any():
+        raise ValidationError(
+            f"curve {cid[out.argmax()]}: observation times must lie in (0,1)"
         )
     starts = np.flatnonzero(new_curve) + 1
-    curves = [CurveObservations(c, ts_c, ys_c) for c, ts_c, ys_c in zip(
-        cid[np.r_[0, starts]].tolist(), np.split(t, starts),
-        np.split(y, starts))]
-
-    ds = make_dataset(curves)
+    ds = FunctionalDataset._from_columns(
+        cid[np.r_[0, starts]], t, y, np.diff(np.r_[0, starts, t.size]))
     if rescale and (offset, scale) != (0.0, 1.0):
         ds.time_transform = (offset, scale)
     return ds
+
+
+def _load_columns(fh):
+    """Curve ids, times and values of the rows left in fh, read by
+    numpy's C parser; None when it raises or warns (a float-formatted
+    curve id under numpy < 2, an empty body) or a value is not finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
+                              dtype=_CSV_DTYPE)
+        except (ValueError, Warning):
+            return None
+    t, y = rows["t"], rows["y"]
+    if not (np.isfinite(t).all() and np.isfinite(y).all()):
+        return None
+    return rows["c"], t, y
 
 
 # rows are parsed a block at a time; 65,536 rows as strings take ~17.5 MB
@@ -281,6 +355,7 @@ def write_long_csv(dataset, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for c in dataset.curves:
-            for t, y in zip(c.times, c.values):
-                writer.writerow([c.curve_id, repr(float(t)), repr(float(y))])
+        writer.writerows(zip(
+            np.repeat(dataset._curve_ids, dataset.lengths).tolist(),
+            map(repr, dataset.times_flat.tolist()),
+            map(repr, dataset.values_flat.tolist())))

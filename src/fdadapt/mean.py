@@ -209,7 +209,8 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
 
     # the slice of kernels._window_lp_weights at the widest bandwidth
     lo, hi = _window_bounds(dataset, t, hs[-1])
-    d = np.abs(dataset.sorted_times[lo:hi] - t)
+    T = dataset.sorted_times[lo:hi]
+    d = np.abs(T - t)
     cid = dataset.sorted_curve[lo:hi]
 
     # entry: the first bandwidth holding each observation by the rule
@@ -217,8 +218,9 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
     # For positive floats the rounded d / h is at most 1 exactly when
     # d <= h, so a search on d itself applies that rule. core: the first
     # bandwidth with d <= _core_bound(kernel) h.
-    entry = hs.searchsorted(d)
-    core = (_core_bound(kernel) * hs).searchsorted(d)
+    split = T.searchsorted(t)
+    entry = _v_searchsorted(hs, d, split)
+    core = _v_searchsorted(_core_bound(kernel) * hs, d, split)
 
     # per-curve in-window counts at every bandwidth, exact integers
     into = entry < n_h
@@ -262,6 +264,26 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
     c_alpha = np.where(w, A, 0.0) / denom
     maxw = np.where(w, kernel(near / hs[:, None]), 0.0) / denom
     return _stats(t, hs, 0, alpha, w, w.astype(float), c_alpha, maxw, None)
+
+
+def _v_searchsorted(grid, d, split):
+    """grid.searchsorted(d) for a d that is non-increasing before split
+    and non-decreasing from split on, as the distances |T - t| of a
+    time-sorted slice T with split = T.searchsorted(t) are. Each sorted
+    run is searched once for the grid values; the counts between
+    consecutive grid values then give every observation's index in one
+    np.repeat."""
+    n = grid.size
+    pos = np.empty((2, n + 2), dtype=np.intp)
+    pos[:, 0] = 0
+    pos[0, 1:-1] = d[:split][::-1].searchsorted(grid, "right")
+    pos[1, 1:-1] = d[split:].searchsorted(grid, "right")
+    pos[:, -1] = split, d.size - split
+    counts = np.diff(pos)
+    slots = np.arange(n + 1)
+    # the run before split, read backwards, takes the slots in falling order
+    return np.repeat(np.concatenate((slots[::-1], slots)),
+                     np.concatenate((counts[0, ::-1], counts[1])))
 
 
 def _bins(cells, weights, n_h, n):

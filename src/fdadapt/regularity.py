@@ -274,15 +274,21 @@ def estimate_noise(dataset, grid, mode=NOISE_CONSTANT):
     mode = str(mode).replace("-", "_")
     if mode not in (NOISE_CONSTANT, NOISE_TIME_VARYING):
         raise ValidationError(f"unknown noise mode {mode!r}")
-    if any(len(c) < 2 for c in dataset.curves):
+    if (dataset.lengths < 2).any():
         raise ValidationError("noise estimation needs at least 2 points per curve")
     pts = np.asarray(getattr(grid, "points", grid), dtype=float)
     K0 = noise_k0(dataset.m_hat)
 
+    # each curve's squared differences: a slice of those of the flat
+    # values, which skips the difference across each curve boundary.
+    # Every slice is summed on its own, so each sum keeps its order.
+    d2_flat = np.diff(dataset.values_flat) ** 2
+    ends = np.cumsum(dataset.lengths)
+    spans = list(zip((ends - dataset.lengths).tolist(), (ends - 1).tolist()))
     if mode == NOISE_CONSTANT:
         acc = 0.0
-        for c in dataset.curves:
-            d2 = np.diff(c.values) ** 2
+        for a, b in spans:
+            d2 = d2_flat[a:b]
             acc += d2.sum() / (2.0 * d2.size)
         val = acc / dataset.n_curves
         grid_vals = np.full(pts.size, val)
@@ -291,9 +297,9 @@ def estimate_noise(dataset, grid, mode=NOISE_CONSTANT):
         )
 
     acc = np.zeros(pts.size)
-    for c in dataset.curves:
-        d2 = np.diff(c.values) ** 2
-        dt = c.times[1:]
+    for a, b in spans:
+        d2 = d2_flat[a:b]
+        dt = dataset.times_flat[a + 1:b + 1]
         kk = min(K0, d2.size)
         dist = np.abs(dt[None, :] - pts[:, None])
         sel = np.argsort(dist, axis=1, kind="stable")[:, :kk]

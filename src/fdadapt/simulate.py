@@ -15,7 +15,6 @@ import numpy as np
 from .dataset import (
     DESIGN_COMMON,
     DESIGN_INDEPENDENT,
-    CurveObservations,
     FunctionalDataset,
 )
 from .errors import GenerationError, ValidationError
@@ -274,7 +273,8 @@ def sample_dataset(spec, design, noise, n_curves, seed, eval_grid=None):
         pts = common_times if n_grid == 0 else np.concatenate((common_times, grid_pts))
         common_S = _factor(spec, pts, curve_id=0)
 
-    curves = []
+    times_list = []
+    values = []
     latents = []
     grid_latents = np.empty((n_curves, n_grid)) if n_grid else None
     for i in range(n_curves):
@@ -300,8 +300,15 @@ def sample_dataset(spec, design, noise, n_curves, seed, eval_grid=None):
             e = rng.standard_normal(mi)
             y = x_obs + noise.sigma(times, x_obs) * e
 
-        curves.append(CurveObservations(curve_id=i, times=times, values=y))
+        if not np.isfinite(y).all():
+            raise ValidationError(f"curve {i}: non-finite value")
+        times_list.append(times)
+        values.append(y)
         latents.append(x_obs)
 
-    ds = FunctionalDataset(curves=tuple(curves), design=design.kind)
+    # times are sorted inside (0,1) by construction
+    ds = FunctionalDataset._from_columns(
+        np.arange(n_curves), np.concatenate(times_list),
+        np.concatenate(values),
+        np.array([t.size for t in times_list], dtype=np.intp), design.kind)
     return SampledData(dataset=ds, latents=tuple(latents), grid_latents=grid_latents)

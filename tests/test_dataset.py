@@ -1,9 +1,14 @@
 import hashlib
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import fdadapt.dataset
 from fdadapt import (
     DESIGN_COMMON,
     DESIGN_INDEPENDENT,
@@ -271,3 +276,152 @@ class TestLongCsv:
         ingest_long_csv(path)
         after = hashlib.sha256(path.read_bytes()).hexdigest()
         assert before == after
+
+
+def outcome(path, rescale=False):
+    """ingest_long_csv's dataset, or its error message."""
+    try:
+        return ingest_long_csv(path, rescale=rescale)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def block_outcome(path, rescale=False):
+    """outcome with the block parser alone reading the body."""
+    with mock.patch.object(fdadapt.dataset, "_load_columns",
+                           return_value=None):
+        return outcome(path, rescale)
+
+
+def vouched_outcome(path, rescale=False):
+    """outcome with numpy's parser alone reading the body: a fallback to
+    the block parser fails the test."""
+    with mock.patch.object(fdadapt.dataset, "_read_rows",
+                           side_effect=AssertionError("block parser ran")):
+        return outcome(path, rescale)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for name in ("times_flat", "values_flat", "lengths", "sorted_times",
+                 "sorted_values", "sorted_curve"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert_array_equal(a, b, err_msg=name)
+    assert ([c.curve_id for c in got.curves]
+            == [c.curve_id for c in want.curves])
+    assert (got.design, got.m_hat, got.time_transform) == (
+        want.design, want.m_hat, want.time_transform)
+
+
+class TestFastIngest:
+    """numpy's C parser reads what it can vouch for exactly as the block
+    parser would; everything else reaches the block parser."""
+
+    VALID = "0,0.5,1.0\n1,0.25,2.0\n0,0.75,3.5\n1,0.5,-1.0\n"
+
+    @pytest.mark.parametrize("body", [
+        pytest.param("0,0.5,1.0\n1.0,0.6,2.0\n", id="float-id"),
+        pytest.param("", id="empty-body"),
+        pytest.param("\n\n", id="blank-body"),
+        pytest.param(VALID.replace("\n", "\r\n"), id="crlf"),
+        pytest.param("+3,0.5,1.0\n1,0.25,2.0\n", id="plus-sign"),
+        pytest.param(" 3 , 0.5 ,1.0 \n1,\t0.25,2.0\n", id="spaced-fields"),
+        pytest.param(f"{2**53 + 1},0.5,1.0\n{2**53},0.25,2.0\n",
+                     id="id-2^53+1"),
+        pytest.param(f"0,0.5,1.0\n{2**63},0.25,2.0\n", id="id-2^63"),
+        pytest.param(f"{-2**63},0.5,1.0\n{2**63 - 1},0.25,2.0\n",
+                     id="id-int64-limits"),
+        pytest.param("0,0.5,1.0\n  \n1,0.25,2.0\n", id="white-space-line"),
+        pytest.param('0,0.5,1.0\n"1",0.25,2.0\n', id="quoted-field"),
+        pytest.param("0,0.5,1.0\n1_000,0.25,2.0\n", id="underscore-id"),
+        pytest.param("0,0.5,1.0\n1,0.25,inf\n", id="infinite-y"),
+        pytest.param("0,0.5,1.0\n1,1.25,2.0\n", id="t-outside"),
+        pytest.param("0,0.5,1.0\n0,0.5,2.0\n1,0.2,0.0\n", id="duplicate-t"),
+    ])
+    def test_same_as_block_parser(self, tmp_path, body):
+        path = tmp_path / "edge.csv"
+        path.write_bytes(f"curve_id,t,y\n{body}".encode())
+        assert_same_outcome(outcome(path), block_outcome(path))
+
+    def test_ids_beyond_2_53_are_exact(self, tmp_path):
+        path = tmp_path / "ids.csv"
+        path.write_text(f"curve_id,t,y\n{2**53 + 1},0.5,1.0\n"
+                        f"{2**53},0.25,2.0\n")
+        ds = vouched_outcome(path)
+        assert [c.curve_id for c in ds.curves] == [2**53, 2**53 + 1]
+
+    def test_crlf_read_by_numpy(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(("curve_id,t,y\n" + self.VALID)
+                         .replace("\n", "\r\n").encode())
+        assert_same_outcome(vouched_outcome(path), block_outcome(path))
+
+    def test_parser_warning_reaches_block_parser(self, tmp_path):
+        # numpy 1.23-1.26 read the curve id 1.0 as 1 with only a
+        # DeprecationWarning; the block parser must then name the line
+        path = tmp_path / "float_id.csv"
+        path.write_text("curve_id,t,y\n0,0.5,1.0\n1.0,0.6,2.0\n")
+
+        def loadtxt(*args, **kwargs):
+            warnings.warn("string or file could not be read to its end",
+                          DeprecationWarning)
+            return np.array([(0, 0.5, 1.0), (1, 0.6, 2.0)],
+                            dtype=fdadapt.dataset._CSV_DTYPE)
+
+        with mock.patch.object(fdadapt.dataset.np, "loadtxt", loadtxt):
+            with pytest.raises(ValidationError, match="line 3: malformed"):
+                ingest_long_csv(path)
+
+    def test_rescale_rounding_onto_the_edge_rejected(self, tmp_path):
+        # at an offset of 1e17 the 1% pad is lost to rounding, so the
+        # first rescaled time lands on 0
+        path = tmp_path / "far.csv"
+        path.write_text("curve_id,t,y\n0,1e17,1.0\n0,100000000000000032,"
+                        "2.0\n1,100000000000000064,0.0\n1,1e17,3.0\n")
+        with pytest.raises(ValidationError, match="must lie in"):
+            ingest_long_csv(path, rescale=True)
+
+
+def unit_times(n):
+    return st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    min_size=n, max_size=n, unique=True)
+
+
+@st.composite
+def long_csv_bodies(draw):
+    """(text, rescale): a valid long CSV with shuffled rows, empty lines
+    and times written with repr, in (0,1) or, to be rescaled, anywhere."""
+    rescale = draw(st.booleans())
+    ids = draw(st.lists(st.integers(-(2**63 - 1), 2**63 - 1), min_size=2,
+                        max_size=5, unique=True))
+    if rescale:
+        times = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6,
+                         unique=True)
+    else:
+        times = st.integers(1, 6).flatmap(unit_times)
+    shared = draw(times) if draw(st.booleans()) else None
+    rows = []
+    for cid in ids:
+        for t in shared or draw(times):
+            y = draw(st.floats(allow_nan=False, allow_infinity=False))
+            rows.append(f"{cid},{t!r},{y!r}")
+    rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), "")
+    return "curve_id,t,y\n" + "\n".join(rows) + "\n", rescale
+
+
+@settings(max_examples=80, deadline=None)
+@given(long_csv_bodies())
+def test_fast_ingest_matches_block_parser(tmp_path_factory, case):
+    text, rescale = case
+    path = tmp_path_factory.getbasetemp() / "fast_ingest.csv"
+    path.write_text(text)
+    want = block_outcome(path, rescale)
+    got = (vouched_outcome(path, rescale) if not isinstance(want, str)
+           else outcome(path, rescale))
+    assert_same_outcome(got, want)

@@ -33,7 +33,7 @@ from fdadapt import (
     select_mean_bandwidth,
 )
 from fdadapt.kernels import MAX_ORDER
-from fdadapt.mean import _core_bound, plugin_variance
+from fdadapt.mean import _core_bound, _v_searchsorted, plugin_variance
 
 
 def common_dataset(rng, n_curves, m):
@@ -350,6 +350,28 @@ class TestInclusionStatsOverGrid:
                             rtol=1e-12)
         assert_allclose(c, {UNIFORM: 1.0, EPANECHNIKOV: 0.99805,
                             BIWEIGHT: 0.95674}[kernel], atol=5e-6)
+
+    @pytest.mark.parametrize("split", [0, 3, 7, 12])
+    def test_v_searchsorted_is_the_grid_search(self, rng, split):
+        # dyadic values, so d meets grid values exactly and ties abound
+        grid = np.array([0.125, 0.25, 0.375, 0.5, 0.875])
+        for _ in range(50):
+            vals = rng.integers(0, 9, 12) / 8.0
+            d = np.concatenate((np.sort(vals[:split])[::-1],
+                                np.sort(vals[split:])))
+            assert_array_equal(_v_searchsorted(grid, d, split),
+                               grid.searchsorted(d))
+
+    def test_v_searchsorted_on_a_window(self, rng):
+        ds = lifted(jittered_curves(rng, 8, 20, 60))
+        T = ds.sorted_times
+        hs = BandwidthGrid(0.01, 0.5, 41).values()
+        for t in (T[5], 0.5, T[-3], 0.01):
+            d = np.abs(T - t)
+            for grid in (hs, _core_bound(BIWEIGHT) * hs, d[::7]):
+                assert_array_equal(
+                    _v_searchsorted(np.sort(grid), d, T.searchsorted(t)),
+                    np.sort(grid).searchsorted(d))
 
     @pytest.mark.parametrize("order", [0, 1])
     def test_grid_records_carry_no_xhat(self, rng, order):
