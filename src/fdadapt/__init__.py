@@ -16,7 +16,6 @@ from .dataset import (
     CurveObservations,
     EvalGrid,
     FunctionalDataset,
-    detect_design,
     ingest_long_csv,
     make_dataset,
     write_long_csv,
@@ -50,24 +49,18 @@ from .mean import (
     MeanEstimate,
     RiskProfile,
     estimate_mean,
-    inclusion_stats,
     inclusion_stats_over_grid,
-    mean_risk,
     mean_risk_terms,
     select_mean_bandwidth,
 )
 from .covariance import (
     CovarianceSurface,
-    CovRiskProfile,
     PairInclusionStats,
     band_exponent,
-    covariance_risk,
     covariance_risk_terms,
     diagonal_band_width,
     diagonal_fill_error,
     estimate_covariance,
-    pair_inclusion_stats,
-    select_cov_bandwidth,
 )
 from .simulate import (
     DesignSpec,

@@ -6,9 +6,13 @@ coordinate directions, with bandwidths large enough to make the two
 smoothing windows overlap declared inadmissible. A band around the
 diagonal, whose width shrinks with the sampling density at a rate
 governed by the estimated regularity, is filled by extending the value
-from the band boundary. The surface evaluates its distinct pairs, one
-per cell off the band and one boundary pair per midpoint inside it, in
-batched kernel calls at both ends of each block of pairs.
+from the band boundary. The risk is minimized on a coarse lattice of
+coordinate pairs, each scored over the whole bandwidth grid from its two
+coordinates' grid records, and the chosen bandwidths are interpolated to
+the surface. The surface evaluates its distinct pairs, one per cell off
+the band and one boundary pair per midpoint inside it, in blocks: one
+point record (mean._points_stats) at each end of a block, whatever the
+polynomial orders of the ends.
 """
 
 import math
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import dblquad
 
-from .errors import EstimationError, InsufficientDataError, ValidationError
+from .errors import EstimationError, ValidationError
 from .kernels import (BIWEIGHT, EPANECHNIKOV, MAX_ORDER, _point_blocks,
                       get_kernel)
 from .mean import (
@@ -25,7 +29,6 @@ from .mean import (
     BandwidthGrid,
     InclusionStats,
     _points_stats,
-    inclusion_stats,
     inclusion_stats_over_grid,
     plugin_variance,
 )
@@ -91,15 +94,6 @@ def combine_pair_stats(stats_s: InclusionStats, stats_t: InclusionStats):
     )
 
 
-def pair_inclusion_stats(dataset, s, t, h, order_s, order_t, kernel, k0,
-                         alpha_s, alpha_t):
-    st_s = inclusion_stats(dataset, s, h, order_s, kernel,
-                           max(k0, order_s + 1), 2.0 * alpha_s)
-    st_t = inclusion_stats(dataset, t, h, order_t, kernel,
-                           max(k0, order_t + 1), 2.0 * alpha_t)
-    return combine_pair_stats(st_s, st_t)
-
-
 def bandwidth_admissible(s, t, h):
     """Windows of half-width h at s and t must not overlap."""
     return 2.0 * h < abs(t - s)
@@ -131,69 +125,18 @@ def covariance_risk_terms(pair_stats, reg_s, reg_t, noise, m2_s, m2_t,
                  for x in (bias_ts + bias_st, var_ts + var_st, dropout))
 
 
-def covariance_risk(pair_stats, reg_s, reg_t, noise, m2_s, m2_t,
-                    var_XsXt, N):
-    b, v, d = covariance_risk_terms(
-        pair_stats, reg_s, reg_t, noise, m2_s, m2_t, var_XsXt, N
-    )
-    return b + v + d
-
-
-@dataclass(frozen=True)
-class CovRiskProfile:
-    s: float
-    t: float
-    bandwidths: np.ndarray
-    term_bias: np.ndarray
-    term_var: np.ndarray
-    term_dropout: np.ndarray
-    total: np.ndarray
-    W_pair: np.ndarray
-    h_star: float
-    h_star_index: int
-
-
-def _pair_profile(s, t, hs, stats_s, stats_t, reg_s, reg_t, noise, m2_s,
-                  m2_t, var_XsXt, N):
-    """The risk profile of the pair (s, t) from its two grid records."""
+def _pair_h_star(stats_s, stats_t, reg_s, reg_t, noise, m2_s, m2_t,
+                 var_XsXt, N):
+    """The bandwidth of the pair's two grid records that minimizes its
+    two-direction risk; None when every bandwidth is inadmissible or
+    leaves no curve pair, as always for |t - s| below twice the smallest
+    one."""
     ps = combine_pair_stats(stats_s, stats_t)
-    tb, tv, td = covariance_risk_terms(ps, reg_s, reg_t, noise, m2_s, m2_t,
-                                       var_XsXt, N)
-    total = tb + tv + td
-    if not np.any(np.isfinite(total)):
+    total = sum(covariance_risk_terms(ps, reg_s, reg_t, noise, m2_s, m2_t,
+                                      var_XsXt, N))
+    if not np.isfinite(total).any():
         return None
-    idx = int(np.argmin(total))
-    return CovRiskProfile(
-        s=float(s), t=float(t), bandwidths=hs, term_bias=tb, term_var=tv,
-        term_dropout=td, total=total, W_pair=ps.W_pair,
-        h_star=float(hs[idx]), h_star_index=idx,
-    )
-
-
-def select_cov_bandwidth(dataset, s, t, reg_s, reg_t, noise, m2_s, m2_t,
-                         var_XsXt, kernel, k0, grid_spec=None):
-    """Minimize the two-direction risk over a log bandwidth grid.
-
-    Raises when no grid bandwidth is admissible for the pair, which
-    always happens when |t - s| is below twice the smallest grid value.
-    """
-    kernel = get_kernel(kernel)
-    if grid_spec is None:
-        grid_spec = BandwidthGrid.default_cov()
-    hs = grid_spec.values()
-    order_s = min(int(math.floor(reg_s.alpha_hat)), MAX_ORDER)
-    order_t = min(int(math.floor(reg_t.alpha_hat)), MAX_ORDER)
-    ss = inclusion_stats_over_grid(dataset, s, hs, order_s, kernel,
-                                   max(k0, order_s + 1), 2.0 * reg_s.alpha_hat)
-    st = inclusion_stats_over_grid(dataset, t, hs, order_t, kernel,
-                                   max(k0, order_t + 1), 2.0 * reg_t.alpha_hat)
-    prof = _pair_profile(s, t, hs, ss, st, reg_s, reg_t, noise, m2_s, m2_t,
-                         var_XsXt, dataset.n_curves)
-    if prof is None:
-        raise InsufficientDataError(
-            f"no admissible bandwidth for the pair ({s}, {t})"
-        )
-    return prof
+    return float(ps.h[np.argmin(total)])
 
 
 def band_exponent(alpha_hat):
@@ -342,14 +285,11 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
             if lattice[l] - lattice[k] <= 0.0:
                 continue
             var_kl = plugin_variance(P_lat[:, k] * P_lat[:, l])
-            prof = _pair_profile(
-                float(lattice[k]), float(lattice[l]), hs, lat_stats[k],
-                lat_stats[l], lat_regs[k], lat_regs[l], noise,
-                lat_m2[k], lat_m2[l], var_kl, N,
-            )
-            if prof is not None:
-                H_lat[k, l] = prof.h_star
-                H_lat[l, k] = prof.h_star
+            h_star = _pair_h_star(lat_stats[k], lat_stats[l], lat_regs[k],
+                                  lat_regs[l], noise, lat_m2[k], lat_m2[l],
+                                  var_kl, N)
+            if h_star is not None:
+                H_lat[k, l] = H_lat[l, k] = h_star
     H_lat = _fill_lattice_nan(H_lat)
 
     # each cell's canonical pair a <= b; a cell inside the band takes the
@@ -379,16 +319,12 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
     gamma = np.full(pa.size, np.nan)
     W = np.zeros(pa.size, dtype=int)
     live = np.flatnonzero(h >= hs[0])
-    for oa, ob in np.unique(orders[:, live], axis=1).T:
-        group = live[(orders[0, live] == oa) & (orders[1, live] == ob)]
-        for blk in _point_blocks(dataset, h[group], pa[group], pb[group]):
-            i = group[blk]
-            ps = combine_pair_stats(
-                _points_stats(dataset, pa[i], h[i], oa, kernel,
-                              max(k0, oa + 1), 2.0 * alpha[0, i]),
-                _points_stats(dataset, pb[i], h[i], ob, kernel,
-                              max(k0, ob + 1), 2.0 * alpha[1, i]))
-            gamma[i], W[i] = ps.gamma_hat, ps.W_pair
+    for blk in _point_blocks(dataset, h[live], pa[live], pb[live]):
+        i = live[blk]
+        ps = combine_pair_stats(*(
+            _points_stats(dataset, x[i], h[i], o[i], kernel, k0, 2.0 * a[i])
+            for x, o, a in zip((pa, pb), orders, alpha)))
+        gamma[i], W[i] = ps.gamma_hat, ps.W_pair
     # gamma_hat is NaN when no curve pair is included
     value = gamma - mu_at(pa) * mu_at(pb)
 

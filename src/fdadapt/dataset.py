@@ -62,16 +62,17 @@ class CurveObservations:
 
 
 class FunctionalDataset:
-    """N curves plus design metadata; treated as immutable once built.
+    """N curves plus design metadata; immutable once built.
 
     The observations are stored as columns: ``times_flat`` and
     ``values_flat`` hold the curves one after another, each sorted by
     time, with ``lengths`` observations each. The time-sorted copy of all
     observations lets a window [t-h, t+h] be taken as one slice for every
     curve. ``curves`` gives the same data as CurveObservations, built on
-    first use over views of the columns. ``m_hat`` is the arithmetic mean
-    of the curve lengths. ``design`` None detects the design; a declared
-    common design must have identical times on all curves.
+    first use over views of the columns. All of these arrays are
+    read-only. ``m_hat`` is the arithmetic mean of the curve lengths.
+    ``design`` None detects the design; a declared common design must
+    have identical times on all curves.
     """
 
     def __init__(self, curves, design, time_transform=None):
@@ -118,6 +119,11 @@ class FunctionalDataset:
         self.sorted_times = times[order]
         self.sorted_values = values[order]
         self.sorted_curve = np.repeat(np.arange(lengths.size), lengths)[order]
+        # the two layouts must not drift apart: a write into a column, or
+        # through a curve's view of it, raises
+        for column in (curve_ids, times, values, lengths, self.sorted_times,
+                       self.sorted_values, self.sorted_curve):
+            column.flags.writeable = False
 
     @property
     def n_curves(self):
@@ -138,12 +144,6 @@ def _design(times, lengths):
     if (lengths == m).all() and (times.reshape(-1, m) == times[:m]).all():
         return DESIGN_COMMON
     return DESIGN_INDEPENDENT
-
-
-def detect_design(curves):
-    """Common iff every curve's time vector is identical."""
-    return _design(np.concatenate([c.times for c in curves]),
-                   np.array([len(c) for c in curves]))
 
 
 def make_dataset(curves, design=None):

@@ -10,7 +10,8 @@ grid from inclusion_stats_over_grid as one record with a leading
 bandwidth axis (at order 0 in one pass per anchor or lattice coordinate)
 and score every grid value with the same array formulas that score a
 single bandwidth. Fits at fixed bandwidths take their (t, h) points in
-blocks, one batched kernel call and _points_stats record per block.
+blocks, one _points_stats record per block; a block's points may sit at
+different polynomial orders, one batched kernel call per order.
 """
 
 import math
@@ -73,13 +74,13 @@ class InclusionStats:
     record (inclusion_stats_over_grid) h, W_N, N_mu and C_bar1 have
     shape (n_h,) and the per-curve arrays (n_h, N), row k at h[k]; it
     holds only what the bandwidth searches read, so its xhat is None. A
-    point record (_points_stats) has the same point axis, and t and
-    alpha_exponent may also be given per point.
+    point record (_points_stats) has the same point axis, and t, order
+    and alpha_exponent may also be given per point.
     """
 
     t: float | np.ndarray
     h: float | np.ndarray
-    order: int
+    order: int | np.ndarray
     alpha_exponent: float | np.ndarray
     w: np.ndarray
     W_N: int | np.ndarray
@@ -92,41 +93,49 @@ class InclusionStats:
     xhat: np.ndarray | None
 
 
-def inclusion_stats(dataset, t, h, order, kernel, k0, alpha):
-    """Curve-inclusion flags and weight summaries at one (t, h).
-
-    Every curve's local polynomial value weights come from one pass over
-    the observations in [t-h, t+h] (kernels._window_lp_weights) and are
-    summed back per curve. Order 0 is Nadaraya-Watson.
-    """
-    return _points_stats(dataset, float(t), float(h), order, kernel, k0,
-                         float(alpha))
-
-
 def _points_stats(dataset, t, h, order, kernel, k0, alpha):
-    """inclusion_stats at P points from one batched kernel call: t, h and
-    alpha are scalars or arrays that broadcast to (P,) and are kept as
-    given; the other fields have a leading point axis unless all three
-    are scalars. Each point's statistics are those of a call at it."""
-    shape = np.broadcast(t, h, alpha).shape
-    w, cell, z, y, r, sum_r = _window_lp_weights(dataset, t, h, order,
-                                                 kernel, k0)
-    n, cells = dataset.n_curves, w.size
-    a = np.ravel(alpha)[cell // n] if np.ndim(alpha) else alpha
-    ar = np.abs(r)
-    maxw = np.zeros(cells)
-    np.maximum.at(maxw, cell, ar)
-    sums = np.array([
-        np.bincount(cell, ar, minlength=cells),
-        np.bincount(cell, ar * np.abs(z) ** a, minlength=cells),
-        maxw,
-        np.bincount(cell, r * y, minlength=cells),
-    ])
-    excluded = ~w  # adds 1 to their zero denominators
-    c1, c_alpha, maxw, xhat = sums / (sum_r + excluded)
-    xhat[excluded] = np.nan
+    """Curve-inclusion flags and weight summaries at P points (t, h).
+
+    t, h, order and alpha are scalars or arrays that broadcast to (P,)
+    and are kept as given; the other fields have a leading point axis
+    unless all four are scalars. Every curve's local polynomial value
+    weights come from one pass over the observations in [t-h, t+h]
+    (kernels._window_lp_weights), one batched call per distinct order o
+    with k0 raised to max(k0, o + 1), and are summed back per curve.
+    Order 0 is Nadaraya-Watson. Each point's statistics are those of a
+    call at it alone.
+    """
+    arrays = np.broadcast_arrays(order, t, h, alpha)
+    shape = arrays[0].shape
+    orders, ts, hs, alphas = (x.ravel() for x in arrays)
+    n = dataset.n_curves
+    levels = np.unique(orders).tolist()
+    w = np.empty((orders.size, n), dtype=bool)
+    sums = np.empty((4, orders.size, n))  # c1, c_alpha, max_abs_w, xhat
+    for o in levels:
+        at = np.flatnonzero(orders == o)
+        w_o, cell, z, y, r, sum_r = _window_lp_weights(
+            dataset, ts[at], hs[at], o, kernel, max(k0, o + 1))
+        cells = w_o.size
+        # a scalar alpha stays scalar, as in a call at one point
+        a = alphas[at][cell // n] if np.ndim(alpha) else alpha
+        ar = np.abs(r)
+        maxw = np.zeros(cells)
+        np.maximum.at(maxw, cell, ar)
+        part = np.array([
+            np.bincount(cell, ar, minlength=cells),
+            np.bincount(cell, ar * np.abs(z) ** a, minlength=cells),
+            maxw,
+            np.bincount(cell, r * y, minlength=cells),
+        ])
+        part /= sum_r + ~w_o  # excluded cells: 1 added to a zero sum
+        if len(levels) == 1:  # one order: its arrays are the record's
+            w, sums = w_o.reshape(-1, n), part.reshape(4, -1, n)
+        else:
+            w[at], sums[:, at] = w_o.reshape(-1, n), part.reshape(4, -1, n)
+    sums[3][~w] = np.nan
     return _stats(t, h, order, alpha, *(
-        x.reshape(shape + (n,)) for x in (w, c1, c_alpha, maxw, xhat)))
+        x.reshape(shape + (n,)) for x in (w, *sums)))
 
 
 def _stats(t, h, order, alpha, w, c1, c_alpha, maxw, xhat):
@@ -144,7 +153,7 @@ def _stats(t, h, order, alpha, w, c1, c_alpha, maxw, xhat):
     return InclusionStats(
         t=t if np.ndim(t) else float(t),
         h=h,
-        order=int(order),
+        order=order if np.ndim(order) else int(order),
         alpha_exponent=alpha if np.ndim(alpha) else float(alpha),
         w=w,
         W_N=W_N,
@@ -176,7 +185,7 @@ def _core_bound(kernel):
 
 
 def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
-    """inclusion_stats(dataset, t, h, ...) for every h of an increasing
+    """_points_stats(dataset, t, h, ...) for every h of an increasing
     bandwidth grid hs, as one InclusionStats whose fields have a leading
     bandwidth axis: row k holds the statistics at hs[k]. The record
     carries what the bandwidth searches read and no xhat (None).
@@ -189,7 +198,7 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
     most _core_bound(kernel). For the observations nearer the window edge
     (none for the uniform kernel), K is evaluated directly at each
     bandwidth that holds them. Window membership, the k0 counts and so w
-    and W_N are exact; the other summaries match inclusion_stats to
+    and W_N are exact; the other summaries match _points_stats to
     rounding.
     """
     hs = np.asarray(hs, dtype=float)
@@ -197,14 +206,14 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
             or (np.diff(hs) <= 0.0).any()):
         raise ValidationError("bandwidth grid must be positive and increasing")
     kernel = get_kernel(kernel)
+    if k0 < order + 1:
+        raise ValidationError("k0 must be at least order + 1")
     if order != 0:
         blocks = [_points_stats(dataset, t, hs[b], order, kernel, k0, alpha)
                   for b in _point_blocks(dataset, hs, t)]
         return _stats(t, hs, order, alpha, *(
             np.concatenate([getattr(s, name) for s in blocks])
             for name in ("w", "c1", "c_alpha", "max_abs_w")), None)
-    if k0 < 1:
-        raise ValidationError("k0 must be at least order + 1")
     n, n_h = dataset.n_curves, hs.size
 
     # the slice of kernels._window_lp_weights at the widest bandwidth
@@ -307,12 +316,6 @@ def mean_risk_terms(stats, reg, noise, var_X_t, N, c_bar1=None):
         dropout = var_X_t * (1.0 / stats.W_N - 1.0 / N)
     return tuple(np.where(stats.W_N == 0, INFINITE_RISK, x)[()]
                  for x in (bias, var, dropout))
-
-
-def mean_risk(stats, reg, noise, var_X_t, N, c_bar1=None):
-    """Total penalized risk; infinite when no curve is included."""
-    b, v, d = mean_risk_terms(stats, reg, noise, var_X_t, N, c_bar1=c_bar1)
-    return b + v + d
 
 
 @dataclass(frozen=True)
@@ -458,19 +461,16 @@ def estimate_mean(dataset, grid, reg_per_anchor, noise, kernel=BIWEIGHT,
     values = np.full(pts.size, np.nan)
     W_out = np.zeros(pts.size, dtype=int)
     risk = np.full((3, pts.size), np.nan)
-    for order in np.unique(orders):
-        group = np.flatnonzero(orders == order)
-        for b in _point_blocks(dataset, h_on_grid[group], pts[group]):
-            i = group[b]
-            stats = _points_stats(dataset, pts[i], h_on_grid[i], order,
-                                  kernel, max(k0, order + 1), 2.0 * alpha[i])
-            W_out[i] = stats.W_N
-            with np.errstate(invalid="ignore"):
-                values[i] = (np.where(stats.w, stats.xhat, 0.0).sum(axis=-1)
-                             / stats.W_N)
-            risk[:, i] = mean_risk_terms(
-                stats, SimpleNamespace(alpha_hat=alpha[i], L2_hat=L2[i]),
-                noise, var_grid[i], N, c_bar1=None if cb is None else cb[i])
+    for i in _point_blocks(dataset, h_on_grid, pts):
+        stats = _points_stats(dataset, pts[i], h_on_grid[i], orders[i],
+                              kernel, k0, 2.0 * alpha[i])
+        W_out[i] = stats.W_N
+        with np.errstate(invalid="ignore"):
+            values[i] = (np.where(stats.w, stats.xhat, 0.0).sum(axis=-1)
+                         / stats.W_N)
+        risk[:, i] = mean_risk_terms(
+            stats, SimpleNamespace(alpha_hat=alpha[i], L2_hat=L2[i]),
+            noise, var_grid[i], N, c_bar1=None if cb is None else cb[i])
     risk[:, W_out == 0] = np.nan
 
     return MeanEstimate(

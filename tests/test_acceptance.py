@@ -20,23 +20,23 @@ from fdadapt import (
     NoiseSpec,
     ProcessSpec,
     RegularitySchedule,
-    covariance_risk,
+    covariance_risk_terms,
     diagonal_fill_error,
     estimate_noise,
     estimate_regularity,
     fit,
-    inclusion_stats,
     kernel_abs_moment,
     make_dataset,
-    mean_risk,
-    pair_inclusion_stats,
+    mean_risk_terms,
     run_experiment,
     sample_dataset,
     select_mean_bandwidth,
     write_report_csv,
     write_summary_csv,
 )
+from fdadapt.covariance import combine_pair_stats
 from fdadapt.kernels import _window_lp_weights
+from fdadapt.mean import _points_stats
 from scipy.integrate import quad
 
 
@@ -341,10 +341,10 @@ class TestCriterion10RiskOracle:
 
             t = float(rng.uniform(0.35, 0.65))
             h = float(rng.uniform(0.2, 0.35))
-            stats = inclusion_stats(ds, t, h, order, BIWEIGHT, k0,
-                                    2.0 * alpha)
+            stats = _points_stats(ds, t, h, order, BIWEIGHT, k0, 2.0 * alpha)
             reg = reg_stub(t, alpha, L2=L2)
-            got = mean_risk(stats, reg, noise_stub(sigma2), var_t, 5)
+            got = sum(mean_risk_terms(stats, reg, noise_stub(sigma2), var_t,
+                                      5))
             inc, c1, ca, mw = brute_curve_summaries(ds, t, h, order,
                                                     2.0 * alpha, k0)
             want = brute_mean_risk(inc, c1, ca, mw, h, alpha, L2, sigma2,
@@ -357,15 +357,17 @@ class TestCriterion10RiskOracle:
             h2 = float(rng.uniform(0.1, 0.2))
             alpha_s = float(rng.uniform(0.3, 0.95))
             alpha_t = float(rng.uniform(0.3, 0.95))
-            ps = pair_inclusion_stats(ds, s2, t2, h2, 0, 0, BIWEIGHT, k0,
-                                      alpha_s, alpha_t)
+            ps = combine_pair_stats(
+                _points_stats(ds, s2, h2, 0, BIWEIGHT, k0, 2.0 * alpha_s),
+                _points_stats(ds, t2, h2, 0, BIWEIGHT, k0, 2.0 * alpha_t))
             reg_s = reg_stub(s2, alpha_s, L2=L2)
             reg_t = reg_stub(t2, alpha_t, L2=0.5 * L2)
             m2_s = float(rng.uniform(0.5, 2.0))
             m2_t = float(rng.uniform(0.5, 2.0))
             var_p = float(rng.uniform(0.1, 2.0))
-            got2 = covariance_risk(ps, reg_s, reg_t, noise_stub(sigma2),
-                                   m2_s, m2_t, var_p, 5)
+            got2 = sum(covariance_risk_terms(ps, reg_s, reg_t,
+                                             noise_stub(sigma2), m2_s, m2_t,
+                                             var_p, 5))
             inc_s, c1_s, ca_s, mw_s = brute_curve_summaries(
                 ds, s2, h2, 0, 2.0 * alpha_s, k0
             )

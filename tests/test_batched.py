@@ -21,7 +21,6 @@ from fdadapt import (
     RegularitySchedule,
     estimate_covariance,
     estimate_mean,
-    inclusion_stats,
     kernel_abs_moment,
     make_dataset,
     mean_risk_terms,
@@ -47,7 +46,10 @@ def batched_dataset(rng):
 
 
 class TestPointsStats:
-    @pytest.mark.parametrize("order", [0, 1, 2])
+    # one order for every point, or an order per point; the mixed orders
+    # with k0 = 2 raise k0 to 3 at the order-2 points
+    @pytest.mark.parametrize("order", [
+        0, 1, 2, pytest.param(np.array([1, 0, 2, 0, 1, 2, 0]), id="mixed")])
     def test_equals_stacked_inclusion_stats(self, rng, order):
         ds = batched_dataset(rng)
         # an empty window (h below every gap at 0.305), a window whose
@@ -58,25 +60,18 @@ class TestPointsStats:
         t = np.array([0.305, 0.5, 0.03, 0.97, 0.41, 0.62, 0.2])
         h = np.array([1e-4, 0.004, 0.1, 0.08, 0.15, 0.05, 0.3])
         alpha = np.array([0.8, 1.3, 2.7, 1.7, 0.9, 3.1, 1.1])
-        k0 = order + 2
+        k0 = order + 2 if np.ndim(order) == 0 else 2
+        orders = np.broadcast_to(order, t.shape)
         got = _points_stats(ds, t, h, order, BIWEIGHT, k0, alpha)
-        want = [inclusion_stats(ds, *p, order, BIWEIGHT, k0, a)
-                for *p, a in zip(t, h, alpha)]
-        assert got.order == order
+        want = [_points_stats(ds, *p, BIWEIGHT, k0, a)
+                for *p, a in zip(t, h, orders.tolist(), alpha)]
+        assert_array_equal(got.order, order)
         assert got.W_N[0] == 0 and got.W_N[1] == 0
         assert (got.W_N[2:] > 0).all()
         assert np.shape(got.w) == (t.size, ds.n_curves)
         for name in POINT_FIELDS:
             assert_array_equal(getattr(got, name),
                                [getattr(s, name) for s in want])
-
-    def test_scalar_point_is_inclusion_stats(self, rng):
-        ds = batched_dataset(rng)
-        got = _points_stats(ds, 0.4, 0.1, 1, BIWEIGHT, 2, 1.3)
-        want = inclusion_stats(ds, 0.4, 0.1, 1, BIWEIGHT, 2, 1.3)
-        for field in dataclasses.fields(want):
-            assert_array_equal(getattr(got, field.name),
-                               getattr(want, field.name))
 
 
 @pytest.mark.parametrize("d", [0, 1, 2])
@@ -100,8 +95,8 @@ GRID = np.linspace(0.05, 0.95, 13)
 
 @pytest.mark.parametrize("approx", [False, True])
 def test_estimate_mean_points_are_single_point_fits(rng, approx):
-    """Each grid point against inclusion_stats and mean_risk_terms at
-    its h_star, with the regularity of its nearest anchor."""
+    """Each grid point against _points_stats and mean_risk_terms at its
+    h_star, with the regularity of its nearest anchor."""
     ds = make_dataset(jittered_curves(rng, 12, 40, 80))
     noise = noise_stub(0.05)
     est = estimate_mean(ds, GRID, REGS, noise, use_moment_approx=approx)
@@ -111,8 +106,8 @@ def test_estimate_mean_points_are_single_point_fits(rng, approx):
     for j, t in enumerate(GRID):
         reg = min(REGS, key=lambda r: abs(r.anchor_t2 - t))
         order = min(math.floor(reg.alpha_hat), MAX_ORDER)
-        stats = inclusion_stats(ds, t, est.h_star[j], order, BIWEIGHT,
-                                max(2, order + 1), 2.0 * reg.alpha_hat)
+        stats = _points_stats(ds, t, est.h_star[j], order, BIWEIGHT, 2,
+                              2.0 * reg.alpha_hat)
         assert est.W_N[j] == stats.W_N
         assert est.values[j] == (np.where(stats.w, stats.xhat, 0.0).sum()
                                  / stats.W_N)

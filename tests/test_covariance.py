@@ -20,23 +20,40 @@ from fdadapt import (
     BandwidthGrid,
     CurveObservations,
     EstimationError,
-    InsufficientDataError,
     MeanEstimate,
     ValidationError,
     band_exponent,
-    covariance_risk,
     covariance_risk_terms,
     diagonal_band_width,
     diagonal_fill_error,
     estimate_covariance,
-    inclusion_stats,
     inclusion_stats_over_grid,
     make_dataset,
-    pair_inclusion_stats,
-    select_cov_bandwidth,
 )
-from fdadapt.covariance import bandwidth_admissible, combine_pair_stats
+from fdadapt.covariance import (_pair_h_star, bandwidth_admissible,
+                                combine_pair_stats)
 from fdadapt.kernels import MAX_ORDER
+from fdadapt.mean import _points_stats
+
+
+def pair_stats(ds, s, t, h, order_s, order_t, k0, alpha_s, alpha_t):
+    """The pair record at one (s, t, h) from two point records."""
+    return combine_pair_stats(
+        _points_stats(ds, s, h, order_s, BIWEIGHT, k0, 2.0 * alpha_s),
+        _points_stats(ds, t, h, order_t, BIWEIGHT, k0, 2.0 * alpha_t))
+
+
+def grid_records(ds, s, t, reg_s, reg_t, kernel, k0):
+    """The grid records at s and t over the default covariance grid, each
+    at the order and exponent of its regularity estimate."""
+    hs = BandwidthGrid.default_cov().values()
+    records = []
+    for x, reg in ((s, reg_s), (t, reg_t)):
+        order = min(int(math.floor(reg.alpha_hat)), MAX_ORDER)
+        records.append(inclusion_stats_over_grid(
+            ds, x, hs, order, kernel, max(k0, order + 1),
+            2.0 * reg.alpha_hat))
+    return records
 
 
 def mean_stub(points, values):
@@ -59,8 +76,8 @@ class TestPairStats:
             s = float(rng.uniform(0.2, 0.4))
             t = float(rng.uniform(0.6, 0.8))
             h = float(rng.uniform(0.05, 0.15))
-            ss = inclusion_stats(ds, s, h, 0, BIWEIGHT, 2, 1.0)
-            st = inclusion_stats(ds, t, h, 0, BIWEIGHT, 2, 1.4)
+            ss = _points_stats(ds, s, h, 0, BIWEIGHT, 2, 1.0)
+            st = _points_stats(ds, t, h, 0, BIWEIGHT, 2, 1.4)
             ps = combine_pair_stats(ss, st)
             inc = ss.w & st.w
             assert_array_equal(ps.w_pair, inc)
@@ -97,8 +114,8 @@ class TestPairStats:
         assert ps.W_pair.any() and not ps.W_pair.all()
         for k, h in enumerate(hs):
             want = combine_pair_stats(
-                inclusion_stats(ds, s, h, order, BIWEIGHT, k0, 1.0),
-                inclusion_stats(ds, t, h, 0, BIWEIGHT, 2, 1.4))
+                _points_stats(ds, s, h, order, BIWEIGHT, k0, 1.0),
+                _points_stats(ds, t, h, 0, BIWEIGHT, 2, 1.4))
             assert_array_equal(ps.w_pair[k], want.w_pair)
             assert ps.W_pair[k] == want.W_pair
             for name in ("N_gamma_ts", "N_gamma_st", "C_bar1_ts",
@@ -108,8 +125,8 @@ class TestPairStats:
 
     def test_mismatched_bandwidths_rejected(self, rng):
         ds = random_dataset(rng)
-        a = inclusion_stats(ds, 0.3, 0.1, 0, BIWEIGHT, 2, 1.0)
-        b = inclusion_stats(ds, 0.7, 0.2, 0, BIWEIGHT, 2, 1.0)
+        a = _points_stats(ds, 0.3, 0.1, 0, BIWEIGHT, 2, 1.0)
+        b = _points_stats(ds, 0.7, 0.2, 0, BIWEIGHT, 2, 1.0)
         with pytest.raises(ValidationError):
             combine_pair_stats(a, b)
 
@@ -118,8 +135,7 @@ class TestPairStats:
         ds = make_dataset(
             [CurveObservations(i, times, np.ones(3)) for i in range(2)]
         )
-        ps = pair_inclusion_stats(ds, 0.15, 0.8, 0.03, 0, 0, BIWEIGHT, 2,
-                                  0.5, 0.5)
+        ps = pair_stats(ds, 0.15, 0.8, 0.03, 0, 0, 2, 0.5, 0.5)
         assert ps.W_pair == 0
         assert math.isnan(ps.gamma_hat)
         assert ps.N_gamma_ts == 0.0
@@ -141,7 +157,7 @@ class TestCovarianceRisk:
         reg_s = reg_stub(s, alpha=0.5, L2=1.2)
         reg_t = reg_stub(t, alpha=0.7, L2=0.9)
         noise = noise_stub(0.04)
-        ps = pair_inclusion_stats(ds, s, t, h, 0, 0, BIWEIGHT, 2, 0.5, 0.7)
+        ps = pair_stats(ds, s, t, h, 0, 0, 2, 0.5, 0.7)
         assert ps.W_pair > 0
         m2_s, m2_t, var_p = 1.5, 2.0, 0.8
         b, v, d = covariance_risk_terms(
@@ -155,17 +171,17 @@ class TestCovarianceRisk:
         assert_allclose(v, want_v, rtol=1e-12)
         assert_allclose(d, want_d, rtol=1e-12)
         assert_allclose(
-            covariance_risk(ps, reg_s, reg_t, noise, m2_s, m2_t, var_p,
-                            ds.n_curves),
+            sum(covariance_risk_terms(ps, reg_s, reg_t, noise, m2_s, m2_t,
+                                      var_p, ds.n_curves)),
             b + v + d,
         )
 
     def test_overlapping_windows_are_infinite(self, rng):
         ds = random_dataset(rng, n_curves=6, n_lo=15, n_hi=25)
-        ps = pair_inclusion_stats(ds, 0.45, 0.55, 0.2, 0, 0, BIWEIGHT, 2,
-                                  0.5, 0.5)
-        r = covariance_risk(ps, reg_stub(0.45, 0.5), reg_stub(0.55, 0.5),
-                            noise_stub(0.01), 1.0, 1.0, 1.0, ds.n_curves)
+        ps = pair_stats(ds, 0.45, 0.55, 0.2, 0, 0, 2, 0.5, 0.5)
+        r = sum(covariance_risk_terms(
+            ps, reg_stub(0.45, 0.5), reg_stub(0.55, 0.5), noise_stub(0.01),
+            1.0, 1.0, 1.0, ds.n_curves))
         assert r == math.inf
 
     def test_empty_pair_is_infinite(self):
@@ -173,10 +189,10 @@ class TestCovarianceRisk:
         ds = make_dataset(
             [CurveObservations(i, times, np.ones(3)) for i in range(2)]
         )
-        ps = pair_inclusion_stats(ds, 0.15, 0.8, 0.03, 0, 0, BIWEIGHT, 2,
-                                  0.5, 0.5)
-        r = covariance_risk(ps, reg_stub(0.15, 0.5), reg_stub(0.8, 0.5),
-                            noise_stub(0.01), 1.0, 1.0, 1.0, 2)
+        ps = pair_stats(ds, 0.15, 0.8, 0.03, 0, 0, 2, 0.5, 0.5)
+        r = sum(covariance_risk_terms(
+            ps, reg_stub(0.15, 0.5), reg_stub(0.8, 0.5), noise_stub(0.01),
+            1.0, 1.0, 1.0, 2))
         assert r == math.inf
 
 
@@ -214,81 +230,85 @@ class TestDiagonalBand:
 
 
 class TestSelectCovBandwidth:
+    """_pair_h_star, the bandwidth the lattice selects for one pair."""
+
     def test_selected_bandwidth_is_admissible(self, rng):
         ds = random_dataset(rng, n_curves=10, n_lo=20, n_hi=35)
         s, t = 0.3, 0.7
-        prof = select_cov_bandwidth(
-            ds, s, t, reg_stub(s, 0.5), reg_stub(t, 0.5), noise_stub(0.02),
-            1.0, 1.0, 0.5, BIWEIGHT, 2,
-        )
-        assert bandwidth_admissible(s, t, prof.h_star)
-        assert prof.W_pair[prof.h_star_index] > 0
-        fin = np.isfinite(prof.total)
-        assert prof.total[prof.h_star_index] == prof.total[fin].min()
+        regs = (reg_stub(s, 0.5), reg_stub(t, 0.5))
+        rest = (noise_stub(0.02), 1.0, 1.0, 0.5, ds.n_curves)
+        records = grid_records(ds, s, t, *regs, BIWEIGHT, 2)
+        h_star = _pair_h_star(*records, *regs, *rest)
+        ps = combine_pair_stats(*records)
+        total = sum(covariance_risk_terms(ps, *regs, *rest))
+        (idx,) = np.flatnonzero(ps.h == h_star)
+        assert bandwidth_admissible(s, t, h_star)
+        assert ps.W_pair[idx] > 0
+        fin = np.isfinite(total)
+        assert total[idx] == total[fin].min()
 
-    def test_too_close_pair_raises(self, rng):
+    def test_too_close_pair_has_no_bandwidth(self, rng):
         ds = random_dataset(rng, n_curves=10, n_lo=20, n_hi=35)
-        with pytest.raises(InsufficientDataError):
-            select_cov_bandwidth(
-                ds, 0.5, 0.515, reg_stub(0.5, 0.5), reg_stub(0.515, 0.5),
-                noise_stub(0.02), 1.0, 1.0, 0.5, BIWEIGHT, 2,
-            )
+        regs = (reg_stub(0.5, 0.5), reg_stub(0.515, 0.5))
+        records = grid_records(ds, 0.5, 0.515, *regs, BIWEIGHT, 2)
+        assert _pair_h_star(*records, *regs, noise_stub(0.02), 1.0, 1.0,
+                            0.5, ds.n_curves) is None
 
 
 class TestCovRiskOverGrid:
-    """select_cov_bandwidth's term arrays against a per-h loop of
-    combine_pair_stats and covariance_risk_terms, with the biweight kernel
-    (the subclasses below repeat every test with the other kernels)."""
+    """The risk terms of two grid records (combine_pair_stats and
+    covariance_risk_terms over the default grid) against a per-h loop of
+    point records, with the biweight kernel (the subclasses below repeat
+    every test with the other kernels)."""
 
     kernel = BIWEIGHT
 
     def check(self, ds, s, t, reg_s, reg_t, k0=2):
-        noise, m2_s, m2_t, var_p = noise_stub(0.02), 1.3, 0.9, 0.6
-        N = ds.n_curves
-        prof = select_cov_bandwidth(ds, s, t, reg_s, reg_t, noise, m2_s,
-                                    m2_t, var_p, self.kernel, k0)
+        """The grid's pair record and total risk, once checked."""
+        args = (reg_s, reg_t, noise_stub(0.02), 1.3, 0.9, 0.6, ds.n_curves)
+        records = grid_records(ds, s, t, reg_s, reg_t, self.kernel, k0)
+        ps = combine_pair_stats(*records)
+        terms = covariance_risk_terms(ps, *args)
         order_s = min(int(math.floor(reg_s.alpha_hat)), MAX_ORDER)
         order_t = min(int(math.floor(reg_t.alpha_hat)), MAX_ORDER)
         want, W = [], []
-        for h in prof.bandwidths:
-            ps = combine_pair_stats(
-                inclusion_stats(ds, s, h, order_s, self.kernel,
-                                max(k0, order_s + 1), 2.0 * reg_s.alpha_hat),
-                inclusion_stats(ds, t, h, order_t, self.kernel,
-                                max(k0, order_t + 1), 2.0 * reg_t.alpha_hat),
+        for h in ps.h:
+            ps_h = combine_pair_stats(
+                _points_stats(ds, s, h, order_s, self.kernel,
+                              max(k0, order_s + 1), 2.0 * reg_s.alpha_hat),
+                _points_stats(ds, t, h, order_t, self.kernel,
+                              max(k0, order_t + 1), 2.0 * reg_t.alpha_hat),
             )
-            W.append(ps.W_pair)
-            want.append(covariance_risk_terms(ps, reg_s, reg_t, noise, m2_s,
-                                              m2_t, var_p, N))
-            if ps.W_pair == 0 or not bandwidth_admissible(s, t, h):
+            W.append(ps_h.W_pair)
+            want.append(covariance_risk_terms(ps_h, *args))
+            if ps_h.W_pair == 0 or not bandwidth_admissible(s, t, h):
                 assert want[-1] == (math.inf,) * 3
-                assert covariance_risk(ps, reg_s, reg_t, noise, m2_s, m2_t,
-                                       var_p, N) == math.inf
+                assert sum(covariance_risk_terms(ps_h, *args)) == math.inf
         want = np.array(want)
-        for k, got in enumerate((prof.term_bias, prof.term_var,
-                                 prof.term_dropout)):
+        for k, got in enumerate(terms):
             assert_same_risk(got, want[:, k])
-        assert_array_equal(prof.W_pair, W)
-        assert prof.h_star_index == int(np.argmin(want.sum(axis=1)))
-        return prof
+        assert_array_equal(ps.W_pair, W)
+        assert _pair_h_star(*records, *args) == ps.h[
+            int(np.argmin(want.sum(axis=1)))]
+        return ps, sum(terms)
 
     def test_empty_and_inadmissible_bandwidths(self, rng):
         # |t - s| = 0.13: h >= 0.065 is inadmissible; the sparse curves
         # leave the smallest windows empty
         ds = random_dataset(rng, n_curves=8, n_lo=10, n_hi=20)
         s, t = 0.4, 0.53
-        prof = self.check(ds, s, t, reg_stub(s, 0.5), reg_stub(t, 0.7))
-        admissible = 2.0 * prof.bandwidths < t - s
-        assert not admissible.all() and np.isinf(prof.total[~admissible]).all()
-        assert (prof.W_pair[admissible] == 0).any()
-        assert np.isfinite(prof.total).any()
+        ps, total = self.check(ds, s, t, reg_stub(s, 0.5), reg_stub(t, 0.7))
+        admissible = 2.0 * ps.h < t - s
+        assert not admissible.all() and np.isinf(total[~admissible]).all()
+        assert (ps.W_pair[admissible] == 0).any()
+        assert np.isfinite(total).any()
 
     def test_order_one_anchor(self, rng):
         ds = random_dataset(rng, n_curves=10, n_lo=25, n_hi=40)
         s, t = 0.3, 0.6
-        prof = self.check(ds, s, t, reg_stub(s, 1.3, L2=0.8),
-                          reg_stub(t, 0.6), k0=3)
-        assert np.isfinite(prof.total).any()
+        _, total = self.check(ds, s, t, reg_stub(s, 1.3, L2=0.8),
+                              reg_stub(t, 0.6), k0=3)
+        assert np.isfinite(total).any()
 
 
 class TestCovRiskOverGridUniform(TestCovRiskOverGrid):
@@ -391,7 +411,7 @@ class TestEstimateCovariance:
 
 
 class TestSurfaceCells:
-    """Each cell of the surface against pair_inclusion_stats at its pair:
+    """Each cell of the surface against the pair record at its pair:
     the cell's own pair off the band, the band boundary pair with the
     same midpoint inside it."""
 
@@ -433,8 +453,7 @@ class TestSurfaceCells:
                 else:
                     assert h == 0.5 * (b - a) * (1.0 - 1e-9)
                 (oa, alpha_a), (ob, alpha_b) = self.end(a), self.end(b)
-                ps = pair_inclusion_stats(ds, a, b, h, oa, ob, BIWEIGHT, 2,
-                                          alpha_a, alpha_b)
+                ps = pair_stats(ds, a, b, h, oa, ob, 2, alpha_a, alpha_b)
                 value = ps.gamma_hat - self.mean * self.mean
                 assert surf.W_N_pair[i, j] == ps.W_pair
                 if not surf.in_band[i, j]:

@@ -13,12 +13,15 @@ from fdadapt import (
     DESIGN_COMMON,
     DESIGN_INDEPENDENT,
     CurveObservations,
+    DesignSpec,
     EvalGrid,
     FunctionalDataset,
+    NoiseSpec,
+    ProcessSpec,
     ValidationError,
-    detect_design,
     ingest_long_csv,
     make_dataset,
+    sample_dataset,
     write_long_csv,
 )
 
@@ -105,7 +108,7 @@ class TestFunctionalDataset:
         t = [0.2, 0.5, 0.8]
         ds = make_dataset([curve(0, t, [1, 2, 3]), curve(1, t, [4, 5, 6])])
         assert ds.design == DESIGN_COMMON
-        assert detect_design(ds.curves) == DESIGN_COMMON
+        assert make_dataset(ds.curves).design == DESIGN_COMMON
 
     def test_detects_independent_design(self):
         ds = make_dataset([
@@ -121,6 +124,28 @@ class TestFunctionalDataset:
                         curve(1, [0.3, 0.6], [4, 5])),
                 design=DESIGN_COMMON,
             )
+
+    @pytest.mark.parametrize("source", ["make_dataset", "ingest_long_csv",
+                                        "sample_dataset"])
+    def test_columns_are_read_only(self, tmp_path, source):
+        # a write through a curve would change values_flat but not
+        # sorted_values, so the estimators would read different data
+        ds = make_dataset([curve(0, [0.2, 0.5], [1.0, 2.0]),
+                           curve(3, [0.3, 0.6, 0.7], [4.0, 5.0, 6.0])])
+        if source == "ingest_long_csv":
+            write_long_csv(ds, tmp_path / "ds.csv")
+            ds = ingest_long_csv(tmp_path / "ds.csv")
+        elif source == "sample_dataset":
+            ds = sample_dataset(ProcessSpec(kind="fbm", hurst=0.4),
+                                DesignSpec(kind="independent", m_mean=10),
+                                NoiseSpec(kind="homoscedastic", sd=0.1), 4,
+                                seed=1).dataset
+        c = ds.curves[0]
+        for column in (c.times, c.values, ds._curve_ids, ds.times_flat,
+                       ds.values_flat, ds.lengths, ds.sorted_times,
+                       ds.sorted_values, ds.sorted_curve):
+            with pytest.raises(ValueError):
+                column[0] = column[-1]
 
 
 class TestEvalGrid:

@@ -24,16 +24,15 @@ from fdadapt import (
     InsufficientDataError,
     ValidationError,
     estimate_mean,
-    inclusion_stats,
     inclusion_stats_over_grid,
     kernel_abs_moment,
     make_dataset,
-    mean_risk,
     mean_risk_terms,
     select_mean_bandwidth,
 )
-from fdadapt.kernels import MAX_ORDER
-from fdadapt.mean import _core_bound, _v_searchsorted, plugin_variance
+from fdadapt.kernels import MAX_ORDER, _window_lp_weights
+from fdadapt.mean import (_core_bound, _points_stats, _v_searchsorted,
+                          plugin_variance)
 
 
 def common_dataset(rng, n_curves, m):
@@ -75,7 +74,7 @@ class TestInclusionStats:
             h = float(rng.uniform(0.05, 0.3))
             k0 = 2
             alpha = float(rng.uniform(0.5, 2.0))
-            stats = inclusion_stats(ds, t, h, 0, BIWEIGHT, k0, alpha)
+            stats = _points_stats(ds, t, h, 0, BIWEIGHT, k0, alpha)
             for i, c in enumerate(ds.curves):
                 u = (c.times - t) / h
                 K = BIWEIGHT(u)
@@ -111,7 +110,7 @@ class TestInclusionStats:
             ds = random_dataset(rng, n_curves=4, n_lo=12, n_hi=25)
             t = float(rng.uniform(0.3, 0.7))
             h = float(rng.uniform(0.15, 0.3))
-            stats = inclusion_stats(ds, t, h, 1, BIWEIGHT, 3, 1.2)
+            stats = _points_stats(ds, t, h, 1, BIWEIGHT, 3, 1.2)
             for i, c in enumerate(ds.curves):
                 lw = lp_coefficient_weights(c.times, t, h, 1, BIWEIGHT, 3)
                 assert stats.w[i] == (not lw.degenerate)
@@ -129,7 +128,7 @@ class TestInclusionStats:
         ds = make_dataset(
             [CurveObservations(i, times, np.ones(3)) for i in range(2)]
         )
-        stats = inclusion_stats(ds, 0.5, 0.05, 0, BIWEIGHT, 2, 1.0)
+        stats = _points_stats(ds, 0.5, 0.05, 0, BIWEIGHT, 2, 1.0)
         assert stats.W_N == 0
         assert not stats.w.any()
         assert stats.N_mu == 0.0
@@ -137,14 +136,14 @@ class TestInclusionStats:
     def test_validation(self, rng):
         ds = random_dataset(rng)
         with pytest.raises(ValidationError):
-            inclusion_stats(ds, 0.5, 0.0, 0, BIWEIGHT, 2, 1.0)
+            _points_stats(ds, 0.5, 0.0, 0, BIWEIGHT, 2, 1.0)
         with pytest.raises(ValidationError):
-            inclusion_stats(ds, 0.5, 0.1, 1, BIWEIGHT, 1, 1.0)
+            _window_lp_weights(ds, 0.5, 0.1, 1, BIWEIGHT, 1)
         with pytest.raises(ValidationError):
-            inclusion_stats(ds, 0.5, 0.1, -1, BIWEIGHT, 2, 1.0)
+            _points_stats(ds, 0.5, 0.1, -1, BIWEIGHT, 2, 1.0)
         with pytest.raises(ValidationError):
-            inclusion_stats(ds, 0.5, 0.1, MAX_ORDER + 1, BIWEIGHT,
-                            MAX_ORDER + 2, 1.0)
+            _points_stats(ds, 0.5, 0.1, MAX_ORDER + 1, BIWEIGHT,
+                          MAX_ORDER + 2, 1.0)
 
 
 def edge_dataset(rng):
@@ -175,7 +174,7 @@ class TestInclusionStatsOracle:
 
     @staticmethod
     def check(ds, t, h, order, k0, alpha):
-        stats = inclusion_stats(ds, t, h, order, BIWEIGHT, k0, alpha)
+        stats = _points_stats(ds, t, h, order, BIWEIGHT, k0, alpha)
         for i, c in enumerate(ds.curves):
             lw = lp_coefficient_weights(c.times, t, h, order, BIWEIGHT, k0)
             assert stats.w[i] == (not lw.degenerate)
@@ -243,7 +242,7 @@ def grid_row(grid, k):
 
 
 class TestInclusionStatsOverGrid:
-    """Every entry of the grid sweep against inclusion_stats at its h."""
+    """Every entry of the grid sweep against _points_stats at its h."""
 
     @staticmethod
     def check(ds, t, hs, order, kernel, k0, alpha, rtol=1e-12):
@@ -255,7 +254,7 @@ class TestInclusionStatsOverGrid:
             assert np.shape(getattr(grid, name)) == (n_h, n)
         for k, h in enumerate(hs):
             got = grid_row(grid, k)
-            want = inclusion_stats(ds, t, h, order, kernel, k0, alpha)
+            want = _points_stats(ds, t, h, order, kernel, k0, alpha)
             assert (got.t, got.h, got.order, got.alpha_exponent) == (
                 want.t, want.h, want.order, want.alpha_exponent)
             assert_array_equal(got.w, want.w)
@@ -380,8 +379,8 @@ class TestInclusionStatsOverGrid:
         grid = inclusion_stats_over_grid(ds, 0.5, hs, order, BIWEIGHT,
                                          order + 2, 1.3)
         assert grid.xhat is None
-        assert inclusion_stats(ds, 0.5, hs[-1], order, BIWEIGHT, order + 2,
-                               1.3).xhat.shape == (ds.n_curves,)
+        assert _points_stats(ds, 0.5, hs[-1], order, BIWEIGHT, order + 2,
+                             1.3).xhat.shape == (ds.n_curves,)
 
     def test_k0_three(self, rng):
         ds = lifted(jittered_curves(rng, 10, 20, 60))
@@ -415,9 +414,10 @@ class TestInclusionStatsOverGrid:
         for hs in ([0.2, 0.1], [0.0, 0.1], [], [[0.1, 0.2]]):
             with pytest.raises(ValidationError):
                 inclusion_stats_over_grid(ds, 0.5, hs, 0, BIWEIGHT, 2, 1.0)
-        with pytest.raises(ValidationError):
-            inclusion_stats_over_grid(ds, 0.5, [0.1, 0.2], 0, BIWEIGHT, 0,
-                                      1.0)
+        for order in (0, 1):
+            with pytest.raises(ValidationError):
+                inclusion_stats_over_grid(ds, 0.5, [0.1, 0.2], order,
+                                          BIWEIGHT, order, 1.0)
 
 
 class TestMeanRisk:
@@ -425,8 +425,8 @@ class TestMeanRisk:
         ds = random_dataset(rng, n_curves=8, n_lo=15, n_hi=25)
         reg = reg_stub(0.5, alpha=0.7, L2=2.5)
         noise = noise_stub(0.04)
-        stats = inclusion_stats(ds, 0.5, 0.2, 0, BIWEIGHT, 2,
-                                2 * reg.alpha_hat)
+        stats = _points_stats(ds, 0.5, 0.2, 0, BIWEIGHT, 2,
+                              2 * reg.alpha_hat)
         assert stats.W_N > 0
         var_X_t = 1.3
         b, v, d = mean_risk_terms(stats, reg, noise, var_X_t, ds.n_curves)
@@ -436,15 +436,16 @@ class TestMeanRisk:
             d, 1.3 * (1.0 / stats.W_N - 1.0 / ds.n_curves), rtol=1e-12
         )
         assert_allclose(
-            mean_risk(stats, reg, noise, var_X_t, ds.n_curves), b + v + d
+            sum(mean_risk_terms(stats, reg, noise, var_X_t, ds.n_curves)),
+            b + v + d,
         )
 
     def test_factorial_damps_smooth_bias(self, rng):
         ds = random_dataset(rng, n_curves=6, n_lo=15, n_hi=25)
         reg = reg_stub(0.5, alpha=2.3, L2=1.0)
         noise = noise_stub(0.0)
-        stats = inclusion_stats(ds, 0.5, 0.25, 2, BIWEIGHT, 3,
-                                2 * reg.alpha_hat)
+        stats = _points_stats(ds, 0.5, 0.25, 2, BIWEIGHT, 3,
+                              2 * reg.alpha_hat)
         b, _, _ = mean_risk_terms(stats, reg, noise, 0.0, ds.n_curves)
         want = stats.C_bar1 * 1.0 / math.factorial(2) ** 2 * 0.25**4.6
         assert_allclose(b, want, rtol=1e-12)
@@ -454,15 +455,16 @@ class TestMeanRisk:
         ds = make_dataset(
             [CurveObservations(i, times, np.ones(2)) for i in range(3)]
         )
-        stats = inclusion_stats(ds, 0.5, 0.05, 0, BIWEIGHT, 2, 1.0)
+        stats = _points_stats(ds, 0.5, 0.05, 0, BIWEIGHT, 2, 1.0)
         reg = reg_stub(0.5, alpha=0.5)
-        assert mean_risk(stats, reg, noise_stub(0.1), 1.0, 3) == math.inf
+        terms = mean_risk_terms(stats, reg, noise_stub(0.1), 1.0, 3)
+        assert sum(terms) == math.inf
 
     def test_c_bar1_override(self, rng):
         ds = random_dataset(rng, n_curves=6, n_lo=15, n_hi=25)
         reg = reg_stub(0.5, alpha=0.5, L2=1.0)
         noise = noise_stub(0.0)
-        stats = inclusion_stats(ds, 0.5, 0.2, 0, BIWEIGHT, 2, 1.0)
+        stats = _points_stats(ds, 0.5, 0.2, 0, BIWEIGHT, 2, 1.0)
         cb = kernel_abs_moment(BIWEIGHT, 1.0)
         b, _, _ = mean_risk_terms(stats, reg, noise, 0.0, ds.n_curves,
                                   c_bar1=cb)
@@ -536,7 +538,7 @@ class TestSelectMeanBandwidth:
 
 class TestMeanRiskOverGrid:
     """select_mean_bandwidth's term arrays against a per-h loop of
-    inclusion_stats and mean_risk_terms, with the biweight kernel (the
+    _points_stats and mean_risk_terms, with the biweight kernel (the
     subclasses below repeat every test with the other kernels)."""
 
     kernel = BIWEIGHT
@@ -552,14 +554,14 @@ class TestMeanRiskOverGrid:
               if use_moment_approx else None)
         want = []
         for h in prof.bandwidths:
-            stats = inclusion_stats(ds, t, h, order, self.kernel,
-                                    max(k0, order + 1), 2.0 * reg.alpha_hat)
+            stats = _points_stats(ds, t, h, order, self.kernel,
+                                  max(k0, order + 1), 2.0 * reg.alpha_hat)
             want.append(mean_risk_terms(stats, reg, noise, var_X_t, N,
                                         c_bar1=cb))
             if stats.W_N == 0:
                 assert want[-1] == (math.inf,) * 3
-                assert mean_risk(stats, reg, noise, var_X_t, N,
-                                 c_bar1=cb) == math.inf
+                assert sum(mean_risk_terms(stats, reg, noise, var_X_t, N,
+                                           c_bar1=cb)) == math.inf
         want = np.array(want)
         for k, got in enumerate((prof.term_bias, prof.term_var,
                                  prof.term_dropout)):
