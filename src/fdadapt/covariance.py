@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import dblquad
+import scipy  # subpackages load on first use; perfbench reads its version
 
 from .errors import EstimationError, ValidationError
 from .kernels import (BIWEIGHT, EPANECHNIKOV, MAX_ORDER, _point_blocks,
@@ -382,6 +382,6 @@ def diagonal_fill_error(true_cov, d):
         exact = true_cov(u - 0.5 * v, u + 0.5 * v)
         return (fill - exact) ** 2
 
-    raw, _ = dblquad(gap_sq, 0.5 * d, 1.0 - 0.5 * d, 0.0, d,
-                     epsabs=1e-13, epsrel=1e-11)
+    raw, _ = scipy.integrate.dblquad(gap_sq, 0.5 * d, 1.0 - 0.5 * d, 0.0,
+                                     d, epsabs=1e-13, epsrel=1e-11)
     return raw / (d * (1.0 - d))

@@ -2,7 +2,6 @@
 harness."""
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -343,6 +342,7 @@ def run_experiment(config, workers=None):
     if n_workers == 1:
         rows = [_run_one(p) for p in payloads]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             rows = list(pool.map(_run_one, payloads, chunksize=1))
 

@@ -109,11 +109,12 @@ def _points_stats(dataset, t, h, order, kernel, k0, alpha):
     shape = arrays[0].shape
     orders, ts, hs, alphas = (x.ravel() for x in arrays)
     n = dataset.n_curves
-    levels = np.unique(orders).tolist()
+    levels = np.unique(orders).tolist() if np.ndim(order) else [int(order)]
     w = np.empty((orders.size, n), dtype=bool)
     sums = np.empty((4, orders.size, n))  # c1, c_alpha, max_abs_w, xhat
     for o in levels:
-        at = np.flatnonzero(orders == o)
+        # one order takes the whole arrays, without an index or copies
+        at = slice(None) if len(levels) == 1 else np.flatnonzero(orders == o)
         w_o, cell, z, y, r, sum_r = _window_lp_weights(
             dataset, ts[at], hs[at], o, kernel, max(k0, o + 1))
         cells = w_o.size

@@ -46,10 +46,12 @@ def batched_dataset(rng):
 
 
 class TestPointsStats:
-    # one order for every point, or an order per point; the mixed orders
-    # with k0 = 2 raise k0 to 3 at the order-2 points
+    # one order for every point, or an order per point, all equal or
+    # mixed; the mixed orders with k0 = 2 raise k0 to 3 at the order-2
+    # points
     @pytest.mark.parametrize("order", [
-        0, 1, 2, pytest.param(np.array([1, 0, 2, 0, 1, 2, 0]), id="mixed")])
+        0, 1, 2, pytest.param(np.full(7, 1), id="uniform"),
+        pytest.param(np.array([1, 0, 2, 0, 1, 2, 0]), id="mixed")])
     def test_equals_stacked_inclusion_stats(self, rng, order):
         ds = batched_dataset(rng)
         # an empty window (h below every gap at 0.305), a window whose

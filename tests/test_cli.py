@@ -246,12 +246,23 @@ class TestCov:
         assert np.isfinite(surf.lattice_h).all()
 
 
+def run_fresh_interpreter(lines, cwd):
+    """Run the code lines in a new interpreter that finds this package and
+    fail the test with its stderr when the code fails."""
+    package_root = os.path.dirname(os.path.dirname(fdadapt.__file__))
+    env = dict(os.environ, PYTHONPATH=package_root)
+    done = subprocess.run([sys.executable, "-c", "\n".join(lines)],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 class TestImportWithoutTestCode:
     def test_package_imports_without_test_helpers(self, tmp_path):
         """The package runs without pytest, hypothesis or the test helpers
         (lp_oracle, conftest) on the path; the one-curve reference solver
         lives only in the tests."""
-        code = "\n".join([
+        run_fresh_interpreter([
             "import sys",
             "for name in ('pytest', 'hypothesis', 'lp_oracle', 'conftest'):",
             "    sys.modules[name] = None",
@@ -259,13 +270,25 @@ class TestImportWithoutTestCode:
             "import fdadapt.kernels",
             "assert not hasattr(fdadapt, 'lp_weights')",
             "assert not hasattr(fdadapt.kernels, 'lp_coefficient_weights')",
-        ])
-        package_root = os.path.dirname(os.path.dirname(fdadapt.__file__))
-        env = dict(os.environ, PYTHONPATH=package_root)
-        done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert done.returncode == 0, done.stderr
+        ], tmp_path)
+
+    def test_cli_import_leaves_integrate_and_process_pool_unloaded(
+            self, tmp_path):
+        """import fdadapt.cli loads scipy but neither scipy.integrate nor
+        the process pool; diagonal_fill_error loads scipy.integrate on its
+        first call and gives the min(s, t) fill error d**2/12."""
+        run_fresh_interpreter([
+            "import math, sys",
+            "import fdadapt.cli",
+            "assert 'scipy' in sys.modules",
+            "for name in ('scipy.integrate', 'concurrent.futures',",
+            "             'multiprocessing'):",
+            "    assert name not in sys.modules, name",
+            "from fdadapt import diagonal_fill_error",
+            "got = diagonal_fill_error(min, 0.02)",
+            "assert math.isclose(got, 0.02 ** 2 / 12, rel_tol=1e-6), got",
+            "assert 'scipy.integrate' in sys.modules",
+        ], tmp_path)
 
 
 class TestAnchorFailurePolicy:
