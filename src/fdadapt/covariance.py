@@ -7,9 +7,9 @@ smoothing windows overlap declared inadmissible. A band around the
 diagonal, whose width shrinks with the sampling density at a rate
 governed by the estimated regularity, is filled by extending the value
 from the band boundary. The risk is minimized on a coarse lattice of
-coordinate pairs, each scored over the whole bandwidth grid from its two
-coordinates' grid records, and the chosen bandwidths are interpolated to
-the surface. The surface evaluates its distinct pairs, one per cell off
+coordinate pairs, all scored at once over the whole bandwidth grid from
+the coordinates' grid records, and the chosen bandwidths are interpolated
+to the surface. The surface evaluates its distinct pairs, one per cell off
 the band and one boundary pair per midpoint inside it, in blocks: one
 point record (mean._points_stats) at each end of a block, whatever the
 polynomial orders of the ends.
@@ -17,6 +17,7 @@ polynomial orders of the ends.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy  # subpackages load on first use; perfbench reads its version
@@ -28,6 +29,7 @@ from .mean import (
     INFINITE_RISK,
     BandwidthGrid,
     InclusionStats,
+    _floor_factorial,
     _points_stats,
     inclusion_stats_over_grid,
     plugin_variance,
@@ -46,13 +48,14 @@ class PairInclusionStats:
     non-degenerate at both coordinates. The directional fields with
     suffix ts describe smoothing at t conditioned on inclusion at s,
     and st the reverse. gamma_hat is None when built from grid records,
-    which carry no xhat.
+    which carry no xhat. The lattice's record of its P pairs has s and t
+    of shape (P, 1), (P, n_h) bandwidth fields and no w_pair (None).
     """
 
-    s: float
-    t: float
+    s: float | np.ndarray
+    t: float | np.ndarray
     h: float | np.ndarray
-    w_pair: np.ndarray
+    w_pair: np.ndarray | None
     W_pair: int | np.ndarray
     N_gamma_ts: float | np.ndarray
     N_gamma_st: float | np.ndarray
@@ -69,29 +72,33 @@ def combine_pair_stats(stats_s: InclusionStats, stats_t: InclusionStats):
         raise ValidationError("pair stats need a common bandwidth")
     w_pair = stats_s.w & stats_t.w
     W_pair = np.count_nonzero(w_pair, axis=-1)
-    per_pair = np.maximum(W_pair, 1)
 
     def included_sum(x):
         return np.where(w_pair, x, 0.0).sum(axis=-1)
 
     def direction(stats):
-        denom = included_sum(stats.c1 * stats.max_abs_w)
-        n_gamma = np.divide(W_pair * W_pair, denom,
-                            out=np.zeros(denom.shape), where=denom > 0.0)
-        c_bar = included_sum(stats.c1 * stats.c_alpha) / per_pair
-        return n_gamma[()], c_bar[()]
+        return _direction(W_pair, included_sum(stats.c1 * stats.max_abs_w),
+                          included_sum(stats.c1 * stats.c_alpha))
 
     n_ts, cb_ts = direction(stats_t)
     n_st, cb_st = direction(stats_s)
     gamma_hat = None
     if stats_s.xhat is not None and stats_t.xhat is not None:
         prod_sum = included_sum(stats_s.xhat * stats_t.xhat)
-        gamma_hat = np.where(W_pair > 0, prod_sum / per_pair, np.nan)[()]
+        gamma_hat = np.where(W_pair > 0, prod_sum / np.maximum(W_pair, 1),
+                             np.nan)[()]
     return PairInclusionStats(
         s=stats_s.t, t=stats_t.t, h=stats_s.h, w_pair=w_pair,
         W_pair=W_pair, N_gamma_ts=n_ts, N_gamma_st=n_st,
         C_bar1_ts=cb_ts, C_bar1_st=cb_st, gamma_hat=gamma_hat,
     )
+
+
+def _direction(W_pair, denom, cross):
+    """N_gamma and C_bar1 from the sums of c1 max_abs_w and c1 c_alpha."""
+    n_gamma = np.divide(W_pair * W_pair, denom, out=np.zeros(denom.shape),
+                        where=denom > 0.0)
+    return n_gamma[()], (cross / np.maximum(W_pair, 1))[()]
 
 
 def bandwidth_admissible(s, t, h):
@@ -102,12 +109,13 @@ def bandwidth_admissible(s, t, h):
 def covariance_risk_terms(pair_stats, reg_s, reg_t, noise, m2_s, m2_t,
                           var_XsXt, N):
     """Bias, variance and dropout terms summed over both directions, as
-    arrays on a grid record; infinite where no curve pair is included or
-    the bandwidth is inadmissible."""
+    arrays on a grid record (with which reg_*, m2_* and var_XsXt may
+    broadcast); infinite where no curve pair is included or the
+    bandwidth is inadmissible."""
     ps = pair_stats
 
     def one_direction(reg_b, m2_a, c_bar, n_gamma):
-        fact = math.factorial(int(math.floor(reg_b.alpha_hat)))
+        fact = _floor_factorial(reg_b.alpha_hat)
         q1_sq = 2.0 * m2_a * c_bar * reg_b.L2_hat / (fact * fact)
         bias = q1_sq * ps.h ** (2.0 * reg_b.alpha_hat)
         q2_sq = noise.sigma2_max * m2_a
@@ -125,18 +133,45 @@ def covariance_risk_terms(pair_stats, reg_s, reg_t, noise, m2_s, m2_t,
                  for x in (bias_ts + bias_st, var_ts + var_st, dropout))
 
 
+def _lattice_h_star(records, regs, noise, m2, var_pairs, N):
+    """The risk-minimizing bandwidth of each pair of L grid records on one
+    bandwidth grid, as a symmetric (L, L) array, NaN on the diagonal and
+    where no bandwidth is admissible and leaves a curve pair. regs and m2
+    (an array) are per record, var_pairs per pair k < l, in the order of
+    np.triu_indices(L, 1). The arrays of a record are zero where its w is
+    false, so every pair sum is a stacked matrix product over curves."""
+    k, l = np.triu_indices(len(records), 1)
+    n_h, n = records[0].w.shape
+    M = np.empty((3, n_h, len(records), n))  # w, c1 max|w|, c1 c_alpha
+    for a, r in enumerate(records):
+        M[:, :, a] = r.w, r.c1 * r.max_abs_w, r.c1 * r.c_alpha
+    # [h, a, b]: sums over the curves included at a and b of w at a times
+    # the product at b
+    W, denom, cross = (M[0] @ x.transpose(0, 2, 1) for x in M)
+    W_pair = W[:, k, l].T
+    n_ts, cb_ts = _direction(W_pair, denom[:, k, l].T, cross[:, k, l].T)
+    n_st, cb_st = _direction(W_pair, denom[:, l, k].T, cross[:, l, k].T)
+    x = np.array([r.t for r in records])
+    ps = PairInclusionStats(x[k, None], x[l, None], records[0].h, None,
+                            W_pair, n_ts, n_st, cb_ts, cb_st, None)
+    alpha, L2 = np.array([[r.alpha_hat, r.L2_hat] for r in regs]).T
+    total = sum(covariance_risk_terms(
+        ps, *(SimpleNamespace(alpha_hat=alpha[i, None], L2_hat=L2[i, None])
+              for i in (k, l)),
+        noise, m2[k, None], m2[l, None], np.asarray(var_pairs)[:, None], N))
+    H = np.full((len(records),) * 2, np.nan)
+    ok = np.isfinite(total).any(axis=1)
+    H[k[ok], l[ok]] = H[l[ok], k[ok]] = ps.h[np.argmin(total[ok], axis=1)]
+    return H
+
+
 def _pair_h_star(stats_s, stats_t, reg_s, reg_t, noise, m2_s, m2_t,
                  var_XsXt, N):
-    """The bandwidth of the pair's two grid records that minimizes its
-    two-direction risk; None when every bandwidth is inadmissible or
-    leaves no curve pair, as always for |t - s| below twice the smallest
-    one."""
-    ps = combine_pair_stats(stats_s, stats_t)
-    total = sum(covariance_risk_terms(ps, reg_s, reg_t, noise, m2_s, m2_t,
-                                      var_XsXt, N))
-    if not np.isfinite(total).any():
-        return None
-    return float(ps.h[np.argmin(total)])
+    """_lattice_h_star of the pair's two grid records, None for NaN (as
+    always for |t - s| below twice the smallest bandwidth)."""
+    h = _lattice_h_star([stats_s, stats_t], [reg_s, reg_t], noise,
+                        np.array([m2_s, m2_t]), [var_XsXt], N)[0, 1]
+    return None if np.isnan(h) else float(h)
 
 
 def band_exponent(alpha_hat):
@@ -270,26 +305,16 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
 
     lat_regs = _nearest(regs, anchor_ts, lattice)
     lat_stats = []
-    lat_m2 = np.zeros(LATTICE_SIZE)
     for k, reg_k in enumerate(lat_regs):
         order_k = min(int(math.floor(reg_k.alpha_hat)), MAX_ORDER)
         lat_stats.append(inclusion_stats_over_grid(
             dataset, float(lattice[k]), hs, order_k, kernel,
             max(k0, order_k + 1), 2.0 * reg_k.alpha_hat,
         ))
-        lat_m2[k] = _m2_plugin(P_lat[:, k])
-
-    H_lat = np.full((LATTICE_SIZE, LATTICE_SIZE), np.nan)
-    for k in range(LATTICE_SIZE):
-        for l in range(k, LATTICE_SIZE):
-            if lattice[l] - lattice[k] <= 0.0:
-                continue
-            var_kl = plugin_variance(P_lat[:, k] * P_lat[:, l])
-            h_star = _pair_h_star(lat_stats[k], lat_stats[l], lat_regs[k],
-                                  lat_regs[l], noise, lat_m2[k], lat_m2[l],
-                                  var_kl, N)
-            if h_star is not None:
-                H_lat[k, l] = H_lat[l, k] = h_star
+    lat_m2 = np.array([_m2_plugin(col) for col in P_lat.T])
+    var_lat = [plugin_variance(P_lat[:, k] * P_lat[:, l])
+               for k, l in zip(*np.triu_indices(LATTICE_SIZE, 1))]
+    H_lat = _lattice_h_star(lat_stats, lat_regs, noise, lat_m2, var_lat, N)
     H_lat = _fill_lattice_nan(H_lat)
 
     # each cell's canonical pair a <= b; a cell inside the band takes the

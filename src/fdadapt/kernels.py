@@ -62,14 +62,13 @@ class Kernel:
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        inside = np.abs(u) <= 1.0
         if self.kind == "uniform":
-            return np.where(inside, 0.5, 0.0)
+            return 0.5 * (np.abs(u) <= 1.0)
+        # 1 - u^2 is negative exactly where |u| > 1; fmax also maps NaN to 0
+        sq = np.fmax(1.0 - u * u, 0.0)
         if self.kind == "epanechnikov":
-            return np.where(inside, 0.75 * (1.0 - u * u), 0.0)
-        # biweight
-        sq = 1.0 - u * u
-        return np.where(inside, 0.9375 * sq * sq, 0.0)
+            return 0.75 * sq
+        return 0.9375 * sq * sq
 
 
 UNIFORM = Kernel("uniform")

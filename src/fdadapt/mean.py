@@ -87,10 +87,14 @@ class InclusionStats:
     c1: np.ndarray
     c_alpha: np.ndarray
     max_abs_w: np.ndarray
-    N_i: np.ndarray
     N_mu: float | np.ndarray
     C_bar1: float | np.ndarray
     xhat: np.ndarray | None
+
+    @property
+    def N_i(self):
+        """Per-curve effective sample sizes 1 / max |weight|, 0 if excluded."""
+        return self.w / (self.max_abs_w + ~self.w)
 
 
 def _points_stats(dataset, t, h, order, kernel, k0, alpha):
@@ -161,7 +165,6 @@ def _stats(t, h, order, alpha, w, c1, c_alpha, maxw, xhat):
         c1=c1,
         c_alpha=c_alpha,
         max_abs_w=maxw,
-        N_i=w / (maxw + ~w),
         N_mu=N_mu[()],
         C_bar1=C_bar1[()],
         xhat=xhat,
@@ -232,26 +235,32 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
     entry = _v_searchsorted(hs, d, split)
     core = _v_searchsorted(_core_bound(kernel) * hs, d, split)
 
-    # per-curve in-window counts at every bandwidth, exact integers
-    into = entry < n_h
-    counts = np.bincount(entry[into] * n + cid[into], minlength=n_h * n)
-    counts = counts.reshape(n_h, n).cumsum(axis=0)
-
-    # S, A: per-curve sums of K and K |z|^alpha at every bandwidth. Core
-    # part: per j, the cumulative sums of |u|^(2j) and |u|^(2j+alpha),
-    # scaled by c_j / h^(2j) and c_j / h^(2j+alpha)
-    S, A = np.zeros((2, n_h, n))
-    inner = core < n_h
+    # B[k]: per curve, the number of observations with entry k and, per j,
+    # the sums of |u|^(2j) and |u|^(2j+alpha) over those with core k.
+    # Adding up its rows, as cumsum does, makes B[k] those at hs[k].
+    q = len(kernel.z2_coeffs)
+    B = np.empty((n_h, 1 + 2 * q, n))
+    into, inner = entry < n_h, core < n_h
+    B[:, 0] = _bins(entry[into] * n + cid[into], None, n_h, n)
     cells, di = core[inner] * n + cid[inner], d[inner]
     da, ha = d ** alpha, hs ** alpha
-    dai = da[inner]
-    dj, hj = np.ones(di.size), np.ones(n_h)  # |u|^(2j), h^(2j)
-    for c in kernel.z2_coeffs:
-        for total, v, hv in ((S, dj, hj), (A, dj * dai, hj * ha)):
-            part = _bins(cells, v, n_h, n).cumsum(axis=0)
-            part *= (c / hv)[:, None]
-            total += part
-        dj, hj = dj * di * di, hj * hs * hs
+    dj, dai = np.ones(di.size), da[inner]  # |u|^(2j), |u|^alpha
+    for j in range(q):
+        B[:, 1 + 2 * j] = _bins(cells, dj, n_h, n)
+        B[:, 2 + 2 * j] = _bins(cells, dj * dai, n_h, n)
+        dj = dj * di * di
+    for k in range(1, n_h):
+        B[k] += B[k - 1]
+    w = B[:, 0] >= k0
+    # S, A = SA[:, 0], SA[:, 1]: per-curve sums of K and K |z|^alpha; core
+    # part: over j in order, the sums times c_j / h^(2j), c_j / h^(2j+alpha)
+    SA = np.zeros((n_h, 2, n))
+    hj = np.ones(n_h)  # h^(2j)
+    for j, c in enumerate(kernel.z2_coeffs):
+        SA[:, 0] += B[:, 1 + 2 * j] * (c / hj)[:, None]
+        SA[:, 1] += B[:, 2 + 2 * j] * (c / (hj * ha))[:, None]
+        hj = hj * hs * hs
+    del B
     # edge part: K itself at each (observation, bandwidth) pair with
     # _core_bound(kernel) < |z| <= 1, one bandwidth further into each run
     # per pass
@@ -259,9 +268,10 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
     k = entry[edge]
     while edge.size:
         K = kernel(d[edge] / hs[k])
-        cells = k * n + cid[edge]
-        S += _bins(cells, K, n_h, n)
-        A += _bins(cells, K * da[edge] / ha[k], n_h, n)
+        cells = k * (2 * n) + cid[edge]
+        SA += _bins(np.concatenate((cells, cells + n)),
+                    np.concatenate((K, K * da[edge] / ha[k])), n_h, 2 * n
+                    ).reshape(n_h, 2, n)
         k += 1
         more = k < core[edge]
         edge, k = edge[more], k[more]
@@ -269,10 +279,11 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
     # the largest weight sits at each curve's nearest observation
     near = np.full(n, np.inf)
     np.minimum.at(near, cid, d)
-    w = (counts >= k0) & (S > 0.0)
-    denom = np.where(w, S, 1.0)
-    c_alpha = np.where(w, A, 0.0) / denom
-    maxw = np.where(w, kernel(near / hs[:, None]), 0.0) / denom
+    S, A = SA[:, 0], SA[:, 1]
+    w &= S > 0.0
+    denom = S + ~w  # excluded cells: 1 added, their numerators are zero
+    c_alpha = A * w / denom
+    maxw = kernel(near / hs[:, None]) * w / denom
     return _stats(t, hs, 0, alpha, w, w.astype(float), c_alpha, maxw, None)
 
 
@@ -303,12 +314,17 @@ def _bins(cells, weights, n_h, n):
     return out.astype(float, copy=False)
 
 
+def _floor_factorial(alpha):
+    """floor(alpha)!, elementwise and as floats for an array alpha."""
+    return np.vectorize(math.factorial, otypes=[float])(
+        np.floor(alpha).astype(int))
+
+
 def mean_risk_terms(stats, reg, noise, var_X_t, N, c_bar1=None):
     """The three risk terms (bias, variance, dropout) at stats' (t, h),
     as arrays on a grid or point record (reg's alpha_hat and L2_hat and
     var_X_t then per point); infinite where no curve is included."""
-    fact = np.vectorize(math.factorial, otypes=[float])(
-        np.floor(reg.alpha_hat).astype(int))
+    fact = _floor_factorial(reg.alpha_hat)
     cb = stats.C_bar1 if c_bar1 is None else c_bar1
     q1_sq = cb * reg.L2_hat / (fact * fact)
     bias = q1_sq * stats.h ** (2.0 * reg.alpha_hat)

@@ -30,8 +30,8 @@ from fdadapt import (
     inclusion_stats_over_grid,
     make_dataset,
 )
-from fdadapt.covariance import (_pair_h_star, bandwidth_admissible,
-                                combine_pair_stats)
+from fdadapt.covariance import (_lattice_h_star, _pair_h_star,
+                                bandwidth_admissible, combine_pair_stats)
 from fdadapt.kernels import MAX_ORDER
 from fdadapt.mean import _points_stats
 
@@ -253,6 +253,58 @@ class TestSelectCovBandwidth:
         records = grid_records(ds, 0.5, 0.515, *regs, BIWEIGHT, 2)
         assert _pair_h_star(*records, *regs, noise_stub(0.02), 1.0, 1.0,
                             0.5, ds.n_curves) is None
+
+
+class TestLatticeBandwidths:
+    """_lattice_h_star, every pair of the lattice at once, against the
+    risk of each pair from combine_pair_stats and covariance_risk_terms."""
+
+    @pytest.mark.parametrize("kernel", [UNIFORM, EPANECHNIKOV, BIWEIGHT])
+    def test_against_per_pair_risks(self, rng, kernel):
+        # curves 0-5 are observed on [0.02, 0.6] only and curves 6-11 on
+        # [0.4, 0.98] only, so no curve enters the pair (0.2, 0.85) at any
+        # h <= 0.1; the coordinates x and x + 0.015 sit closer than twice
+        # the smallest bandwidth, 0.01
+        curves = []
+        for i in range(12):
+            lo, hi = (0.02, 0.6) if i < 6 else (0.4, 0.98)
+            times = np.sort(rng.uniform(lo, hi, int(rng.integers(30, 60))))
+            curves.append(CurveObservations(i, times,
+                                            rng.standard_normal(times.size)))
+        ds = make_dataset(curves)
+        hs = BandwidthGrid.default_cov().values()
+        noise, N = noise_stub(0.02), ds.n_curves
+        for _ in range(3):
+            x = float(rng.uniform(0.3, 0.5))
+            coords = np.concatenate((
+                [0.2, 0.85, x, x + 0.015], rng.uniform(0.05, 0.95, 4)))
+            alphas = rng.uniform(0.3, 0.95, coords.size)
+            alphas[-1] = 1.4  # order 1
+            regs = [reg_stub(c, a, L2=float(rng.uniform(0.5, 2.0)))
+                    for c, a in zip(coords, alphas)]
+            records = []
+            for c, reg in zip(coords, regs):
+                order = int(math.floor(reg.alpha_hat))
+                records.append(inclusion_stats_over_grid(
+                    ds, float(c), hs, order, kernel, max(2, order + 1),
+                    2.0 * reg.alpha_hat))
+            m2 = rng.uniform(0.5, 2.0, coords.size)
+            pairs = list(zip(*np.triu_indices(coords.size, 1)))
+            var = rng.uniform(0.1, 1.0, len(pairs))
+            H = _lattice_h_star(records, regs, noise, m2, var, N)
+            assert np.isnan(np.diag(H)).all()
+            assert_array_equal(H, H.T)
+            for p, (k, l) in enumerate(pairs):
+                ps = combine_pair_stats(records[k], records[l])
+                total = sum(covariance_risk_terms(
+                    ps, regs[k], regs[l], noise, m2[k], m2[l], var[p], N))
+                if not np.isfinite(total).any():
+                    assert np.isnan(H[k, l])
+                    continue
+                (idx,) = np.flatnonzero(hs == H[k, l])
+                assert_allclose(total[idx], total.min(), rtol=1e-12, atol=0)
+            assert np.isnan(H[0, 1]) and np.isnan(H[2, 3])
+            assert np.isfinite(H[0, 2]) and np.isfinite(H[:-1, -1]).any()
 
 
 class TestCovRiskOverGrid:

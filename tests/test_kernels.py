@@ -57,6 +57,25 @@ class TestKernelShapes:
             val, _ = quad(lambda u: float(kern(u)), -1, 1)
             assert_allclose(val, 1.0, rtol=1e-10)
 
+    @pytest.mark.parametrize("kern", [UNIFORM, EPANECHNIKOV, BIWEIGHT])
+    def test_equals_masked_expression(self, kern):
+        # the value where |u| <= 1 and 0 elsewhere, written with np.where,
+        # bit for bit: on a dense grid, at +-1 and the floats next to them,
+        # at +-0, +-inf and NaN
+        edges = [x for one in (-1.0, 1.0)
+                 for x in (np.nextafter(one, -2.0), one,
+                           np.nextafter(one, 2.0))]
+        u = np.concatenate((np.linspace(-1.5, 1.5, 30001), edges,
+                            [0.0, -0.0, np.inf, -np.inf, np.nan]))
+        inside = np.abs(u) <= 1.0
+        sq = 1.0 - u * u
+        want = np.where(inside, {UNIFORM: 0.5, EPANECHNIKOV: 0.75 * sq,
+                                 BIWEIGHT: 0.9375 * sq * sq}[kern], 0.0)
+        got = kern(u)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      want.view(np.int64))
+
     def test_get_kernel_by_name(self):
         assert get_kernel("biweight") == BIWEIGHT
         assert get_kernel(EPANECHNIKOV) is EPANECHNIKOV

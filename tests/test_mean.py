@@ -237,8 +237,8 @@ def grid_row(grid, k):
     """Row k of a grid record of inclusion_stats_over_grid."""
     return dataclasses.replace(grid, **{
         name: getattr(grid, name)[k]
-        for name in ("h", "w", "W_N", "c1", "c_alpha", "max_abs_w", "N_i",
-                     "N_mu", "C_bar1")})
+        for name in ("h", "w", "W_N", "c1", "c_alpha", "max_abs_w", "N_mu",
+                     "C_bar1")})
 
 
 class TestInclusionStatsOverGrid:
@@ -397,6 +397,26 @@ class TestInclusionStatsOverGrid:
         grid = self.check(ds, 0.2, BandwidthGrid(0.01, 0.3, 41).values(), 0,
                           BIWEIGHT, 2, 1.0)
         assert (grid.W_N == 0).all() and grid.c_alpha.dtype == float
+
+    @pytest.mark.parametrize("kernel", [UNIFORM, EPANECHNIKOV, BIWEIGHT])
+    @pytest.mark.parametrize("h_max", [0.5, 0.1])
+    def test_curves_with_empty_windows(self, rng, kernel, h_max):
+        # at t = 0.2, curve 0 has no observation in the widest window, so
+        # its nearest distance is beyond every bandwidth, and curve 1
+        # holds one observation in it, below k0 = 2
+        t = 0.2
+        empty = np.sort(rng.uniform(0.75, 0.98, 15))
+        lone = np.concatenate(([t + 0.3 * h_max], empty))
+        curves = [CurveObservations(i, ts, rng.uniform(1.0, 2.0, ts.size))
+                  for i, ts in enumerate((empty, lone))]
+        ds = lifted(curves + jittered_curves(rng, 5, 30, 60, len(curves)))
+        hs = BandwidthGrid(0.01, h_max, 151 if h_max == 0.5 else 41).values()
+        grid = self.check(ds, t, hs, 0, kernel, 2, 1.3)
+        assert not grid.w[:, :2].any()
+        assert (grid.c_alpha[:, :2] == 0.0).all()
+        assert (grid.max_abs_w[:, :2] == 0.0).all()
+        assert np.isfinite(grid.N_mu).all() and np.isfinite(grid.C_bar1).all()
+        assert grid.W_N[-1] == 5
 
     def test_fine_grid(self, rng):
         ds = lifted(jittered_curves(rng, 6, 50, 90))
