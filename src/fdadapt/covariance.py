@@ -15,7 +15,6 @@ point record (mean._points_stats) at each end of a block, whatever the
 polynomial orders of the ends.
 """
 
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -23,13 +22,12 @@ import numpy as np
 import scipy  # subpackages load on first use; perfbench reads its version
 
 from .errors import EstimationError, ValidationError
-from .kernels import (BIWEIGHT, EPANECHNIKOV, MAX_ORDER, _point_blocks,
-                      get_kernel)
+from .kernels import BIWEIGHT, EPANECHNIKOV, _point_blocks, get_kernel
 from .mean import (
     INFINITE_RISK,
     BandwidthGrid,
-    InclusionStats,
     _floor_factorial,
+    _nearest_regularity,
     _points_stats,
     inclusion_stats_over_grid,
     plugin_variance,
@@ -41,57 +39,23 @@ LATTICE_SIZE = 10
 
 @dataclass(frozen=True)
 class PairInclusionStats:
-    """Joint inclusion summaries for one coordinate pair at one h, or at
-    every h of a grid (a leading bandwidth axis, as in InclusionStats).
+    """Joint inclusion summaries of coordinate pairs (s, t), the input of
+    covariance_risk_terms; the lattice's record of its P pairs has s and
+    t of shape (P, 1) and (P, n_h) bandwidth fields.
 
-    A curve enters the pair estimate only when its fit is
-    non-degenerate at both coordinates. The directional fields with
-    suffix ts describe smoothing at t conditioned on inclusion at s,
-    and st the reverse. gamma_hat is None when built from grid records,
-    which carry no xhat. The lattice's record of its P pairs has s and t
-    of shape (P, 1), (P, n_h) bandwidth fields and no w_pair (None).
+    A curve enters a pair only when its fit is non-degenerate at both
+    coordinates. The directional fields with suffix ts describe smoothing
+    at t conditioned on inclusion at s, and st the reverse.
     """
 
     s: float | np.ndarray
     t: float | np.ndarray
     h: float | np.ndarray
-    w_pair: np.ndarray | None
     W_pair: int | np.ndarray
     N_gamma_ts: float | np.ndarray
     N_gamma_st: float | np.ndarray
     C_bar1_ts: float | np.ndarray
     C_bar1_st: float | np.ndarray
-    gamma_hat: float | np.ndarray | None
-
-
-def combine_pair_stats(stats_s: InclusionStats, stats_t: InclusionStats):
-    """Compose per-coordinate inclusion stats into pair-level stats, at
-    one h or over a grid (gamma_hat is NaN where no pair is included, and
-    None when either record has no xhat)."""
-    if not np.array_equal(stats_s.h, stats_t.h):
-        raise ValidationError("pair stats need a common bandwidth")
-    w_pair = stats_s.w & stats_t.w
-    W_pair = np.count_nonzero(w_pair, axis=-1)
-
-    def included_sum(x):
-        return np.where(w_pair, x, 0.0).sum(axis=-1)
-
-    def direction(stats):
-        return _direction(W_pair, included_sum(stats.c1 * stats.max_abs_w),
-                          included_sum(stats.c1 * stats.c_alpha))
-
-    n_ts, cb_ts = direction(stats_t)
-    n_st, cb_st = direction(stats_s)
-    gamma_hat = None
-    if stats_s.xhat is not None and stats_t.xhat is not None:
-        prod_sum = included_sum(stats_s.xhat * stats_t.xhat)
-        gamma_hat = np.where(W_pair > 0, prod_sum / np.maximum(W_pair, 1),
-                             np.nan)[()]
-    return PairInclusionStats(
-        s=stats_s.t, t=stats_t.t, h=stats_s.h, w_pair=w_pair,
-        W_pair=W_pair, N_gamma_ts=n_ts, N_gamma_st=n_st,
-        C_bar1_ts=cb_ts, C_bar1_st=cb_st, gamma_hat=gamma_hat,
-    )
 
 
 def _direction(W_pair, denom, cross):
@@ -133,13 +97,14 @@ def covariance_risk_terms(pair_stats, reg_s, reg_t, noise, m2_s, m2_t,
                  for x in (bias_ts + bias_st, var_ts + var_st, dropout))
 
 
-def _lattice_h_star(records, regs, noise, m2, var_pairs, N):
+def _lattice_h_star(records, alpha, L2, noise, m2, var_pairs, N):
     """The risk-minimizing bandwidth of each pair of L grid records on one
     bandwidth grid, as a symmetric (L, L) array, NaN on the diagonal and
-    where no bandwidth is admissible and leaves a curve pair. regs and m2
-    (an array) are per record, var_pairs per pair k < l, in the order of
-    np.triu_indices(L, 1). The arrays of a record are zero where its w is
-    false, so every pair sum is a stacked matrix product over curves."""
+    where no bandwidth is admissible and leaves a curve pair. The arrays
+    alpha and L2 (the regularity) and m2 are per record, var_pairs per
+    pair k < l, in the order of np.triu_indices(L, 1). The arrays of a
+    record are zero where its w is false, so every pair sum is a stacked
+    matrix product over curves."""
     k, l = np.triu_indices(len(records), 1)
     n_h, n = records[0].w.shape
     M = np.empty((3, n_h, len(records), n))  # w, c1 max|w|, c1 c_alpha
@@ -152,9 +117,8 @@ def _lattice_h_star(records, regs, noise, m2, var_pairs, N):
     n_ts, cb_ts = _direction(W_pair, denom[:, k, l].T, cross[:, k, l].T)
     n_st, cb_st = _direction(W_pair, denom[:, l, k].T, cross[:, l, k].T)
     x = np.array([r.t for r in records])
-    ps = PairInclusionStats(x[k, None], x[l, None], records[0].h, None,
-                            W_pair, n_ts, n_st, cb_ts, cb_st, None)
-    alpha, L2 = np.array([[r.alpha_hat, r.L2_hat] for r in regs]).T
+    ps = PairInclusionStats(x[k, None], x[l, None], records[0].h, W_pair,
+                            n_ts, n_st, cb_ts, cb_st)
     total = sum(covariance_risk_terms(
         ps, *(SimpleNamespace(alpha_hat=alpha[i, None], L2_hat=L2[i, None])
               for i in (k, l)),
@@ -163,15 +127,6 @@ def _lattice_h_star(records, regs, noise, m2, var_pairs, N):
     ok = np.isfinite(total).any(axis=1)
     H[k[ok], l[ok]] = H[l[ok], k[ok]] = ps.h[np.argmin(total[ok], axis=1)]
     return H
-
-
-def _pair_h_star(stats_s, stats_t, reg_s, reg_t, noise, m2_s, m2_t,
-                 var_XsXt, N):
-    """_lattice_h_star of the pair's two grid records, None for NaN (as
-    always for |t - s| below twice the smallest bandwidth)."""
-    h = _lattice_h_star([stats_s, stats_t], [reg_s, reg_t], noise,
-                        np.array([m2_s, m2_t]), [var_XsXt], N)[0, 1]
-    return None if np.isnan(h) else float(h)
 
 
 def band_exponent(alpha_hat):
@@ -188,11 +143,6 @@ def diagonal_band_width(dataset, alpha_hat):
     base = inv / dataset.n_curves**2
     c = band_exponent(alpha_hat)
     return float(base**c)
-
-
-def _nearest(regs, anchor_ts, x):
-    """The regularity estimate of the anchor nearest to each point x."""
-    return [regs[i] for i in np.abs(x[:, None] - anchor_ts).argmin(axis=1)]
 
 
 def _m2_plugin(col):
@@ -280,7 +230,6 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
     if grid_spec is None:
         grid_spec = BandwidthGrid.default_cov()
     regs = sorted(reg_anchors, key=lambda r: r.anchor_t2)
-    anchor_ts = np.array([r.anchor_t2 for r in regs])
     pts_s = np.asarray(getattr(grid_s, "points", grid_s), dtype=float)
     pts_t = np.asarray(getattr(grid_t, "points", grid_t), dtype=float)
     N = dataset.n_curves
@@ -303,18 +252,16 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
     P_lat = presmooth_matrix(dataset, lattice, schedule.presmooth_bandwidth,
                              presmooth_kernel)
 
-    lat_regs = _nearest(regs, anchor_ts, lattice)
-    lat_stats = []
-    for k, reg_k in enumerate(lat_regs):
-        order_k = min(int(math.floor(reg_k.alpha_hat)), MAX_ORDER)
-        lat_stats.append(inclusion_stats_over_grid(
-            dataset, float(lattice[k]), hs, order_k, kernel,
-            max(k0, order_k + 1), 2.0 * reg_k.alpha_hat,
-        ))
+    lat_alpha, lat_L2, lat_order = _nearest_regularity(regs, lattice)
+    lat_stats = [
+        inclusion_stats_over_grid(dataset, x, hs, o, kernel, max(k0, o + 1),
+                                  2.0 * al)
+        for x, al, o in zip(lattice.tolist(), lat_alpha, lat_order.tolist())]
     lat_m2 = np.array([_m2_plugin(col) for col in P_lat.T])
     var_lat = [plugin_variance(P_lat[:, k] * P_lat[:, l])
                for k, l in zip(*np.triu_indices(LATTICE_SIZE, 1))]
-    H_lat = _lattice_h_star(lat_stats, lat_regs, noise, lat_m2, var_lat, N)
+    H_lat = _lattice_h_star(lat_stats, lat_alpha, lat_L2, noise, lat_m2,
+                            var_lat, N)
     H_lat = _fill_lattice_nan(H_lat)
 
     # each cell's canonical pair a <= b; a cell inside the band takes the
@@ -333,9 +280,7 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
     uniq, k = np.unique(rep, return_inverse=True)
     pa, pb = pa[uniq], pb[uniq]
 
-    alpha = np.array([[r.alpha_hat for r in _nearest(regs, anchor_ts, x)]
-                      for x in (pa, pb)])
-    orders = np.minimum(np.floor(alpha), MAX_ORDER).astype(int)
+    ends = [_nearest_regularity(regs, x) for x in (pa, pb)]
     # interpolating lattice values that all sit on the bandwidth grid
     # cannot leave its range, so clamp away rounding noise
     h = np.clip(_bilinear(lattice, H_lat, pa, pb), hs[0], hs[-1])
@@ -346,11 +291,16 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
     live = np.flatnonzero(h >= hs[0])
     for blk in _point_blocks(dataset, h[live], pa[live], pb[live]):
         i = live[blk]
-        ps = combine_pair_stats(*(
-            _points_stats(dataset, x[i], h[i], o[i], kernel, k0, 2.0 * a[i])
-            for x, o, a in zip((pa, pb), orders, alpha)))
-        gamma[i], W[i] = ps.gamma_hat, ps.W_pair
-    # gamma_hat is NaN when no curve pair is included
+        sa, sb = (
+            _points_stats(dataset, x[i], h[i], o[i], kernel, k0, 2.0 * al[i])
+            for x, (al, _, o) in zip((pa, pb), ends))
+        # the mean product over the curves included at both ends, NaN
+        # where no curve pair is
+        both = sa.w & sb.w
+        W[i] = np.count_nonzero(both, axis=-1)
+        with np.errstate(invalid="ignore"):
+            gamma[i] = (np.where(both, sa.xhat * sb.xhat, 0.0).sum(axis=-1)
+                        / W[i])
     value = gamma - mu_at(pa) * mu_at(pb)
 
     Gamma = value[k]

@@ -320,6 +320,17 @@ def _floor_factorial(alpha):
         np.floor(alpha).astype(int))
 
 
+def _nearest_regularity(regs, x):
+    """alpha_hat, L2_hat and the polynomial order min(floor(alpha_hat),
+    MAX_ORDER) of the anchor nearest each point x, as arrays; of two
+    anchors equally near, the earlier one in regs (sorted by anchor)."""
+    anchor, alpha, L2 = np.array(
+        [[r.anchor_t2, r.alpha_hat, r.L2_hat] for r in regs]).T
+    near = np.abs(np.asarray(x)[:, None] - anchor).argmin(axis=1)
+    alpha, L2 = alpha[near], L2[near]
+    return alpha, L2, np.minimum(np.floor(alpha), MAX_ORDER).astype(int)
+
+
 def mean_risk_terms(stats, reg, noise, var_X_t, N, c_bar1=None):
     """The three risk terms (bias, variance, dropout) at stats' (t, h),
     as arrays on a grid or point record (reg's alpha_hat and L2_hat and
@@ -470,10 +481,7 @@ def estimate_mean(dataset, grid, reg_per_anchor, noise, kernel=BIWEIGHT,
         )
     h_on_grid = np.interp(pts, anchor_ts[ok], anchor_h[ok])
 
-    # each point takes the regularity of its nearest anchor
-    near = np.abs(pts[:, None] - anchor_ts).argmin(axis=1)
-    alpha, L2 = np.array([[r.alpha_hat, r.L2_hat] for r in regs])[near].T
-    orders = np.minimum(np.floor(alpha), MAX_ORDER).astype(int)
+    alpha, L2, orders = _nearest_regularity(regs, pts)
     cb = kernel_abs_moment(kernel, 2.0 * alpha) if use_moment_approx else None
     values = np.full(pts.size, np.nan)
     W_out = np.zeros(pts.size, dtype=int)

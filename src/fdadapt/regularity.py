@@ -117,10 +117,6 @@ class RegularityEstimate:
     theta_hats: tuple  # per d: (theta_12, theta_23, theta_13)
     retained_curves: int
 
-    @property
-    def H_delta(self):
-        return self.H_hat[self.delta_hat]
-
 
 def estimate_regularity(dataset, anchor_t2, schedule, kernel="epanechnikov"):
     """Full regularity estimate at one anchor.

@@ -1,12 +1,17 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from fdadapt import (
     CurveObservations,
     NoiseEstimate,
+    PairInclusionStats,
     RegularityEstimate,
+    ValidationError,
     make_dataset,
 )
+from fdadapt.covariance import _direction
 
 
 def random_curve(rng, curve_id, n_lo=5, n_hi=30):
@@ -74,6 +79,47 @@ def noise_stub(sigma2, n_grid=3):
     return NoiseEstimate(
         sigma2_grid=np.full(n_grid, float(sigma2)),
         sigma2_max=float(sigma2), K0=2,
+    )
+
+
+@dataclass(frozen=True)
+class PairStats(PairInclusionStats):
+    """A pair record that also keeps the joint inclusion flags and the
+    mean product of the two ends' fitted values."""
+
+    w_pair: np.ndarray
+    gamma_hat: float | np.ndarray | None
+
+
+def combine_pair_stats(stats_s, stats_t):
+    """The per-pair reference: two inclusion records at s and t composed
+    into the pair's record, at one h or over a grid (gamma_hat is NaN
+    where no pair is included, and None when either record has no
+    xhat). The package scores lattice pairs by matrix products and
+    evaluates surface pairs from their point records."""
+    if not np.array_equal(stats_s.h, stats_t.h):
+        raise ValidationError("pair stats need a common bandwidth")
+    w_pair = stats_s.w & stats_t.w
+    W_pair = np.count_nonzero(w_pair, axis=-1)
+
+    def included_sum(x):
+        return np.where(w_pair, x, 0.0).sum(axis=-1)
+
+    def direction(stats):
+        return _direction(W_pair, included_sum(stats.c1 * stats.max_abs_w),
+                          included_sum(stats.c1 * stats.c_alpha))
+
+    n_ts, cb_ts = direction(stats_t)
+    n_st, cb_st = direction(stats_s)
+    gamma_hat = None
+    if stats_s.xhat is not None and stats_t.xhat is not None:
+        prod_sum = included_sum(stats_s.xhat * stats_t.xhat)
+        gamma_hat = np.where(W_pair > 0, prod_sum / np.maximum(W_pair, 1),
+                             np.nan)[()]
+    return PairStats(
+        s=stats_s.t, t=stats_t.t, h=stats_s.h, w_pair=w_pair,
+        W_pair=W_pair, N_gamma_ts=n_ts, N_gamma_st=n_st,
+        C_bar1_ts=cb_ts, C_bar1_st=cb_st, gamma_hat=gamma_hat,
     )
 
 

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import noise_stub, reg_stub
+from conftest import combine_pair_stats, noise_stub, reg_stub
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fdadapt import (
@@ -34,7 +34,6 @@ from fdadapt import (
     write_report_csv,
     write_summary_csv,
 )
-from fdadapt.covariance import combine_pair_stats
 from fdadapt.kernels import _window_lp_weights
 from fdadapt.mean import _points_stats
 from scipy.integrate import quad

@@ -98,26 +98,34 @@ GRID = np.linspace(0.05, 0.95, 13)
 @pytest.mark.parametrize("approx", [False, True])
 def test_estimate_mean_points_are_single_point_fits(rng, approx):
     """Each grid point against _points_stats and mean_risk_terms at its
-    h_star, with the regularity of its nearest anchor."""
+    h_star, with the regularity of its nearest anchor. The second anchor
+    set caps an order at MAX_ORDER, and its two anchors sit equally near
+    GRID[5] (exactly, in floats), which takes the earlier one."""
     ds = make_dataset(jittered_curves(rng, 12, 40, 80))
     noise = noise_stub(0.05)
-    est = estimate_mean(ds, GRID, REGS, noise, use_moment_approx=approx)
     P = presmooth_matrix(ds, GRID, RegularitySchedule(
         m_hat=ds.m_hat).presmooth_bandwidth, EPANECHNIKOV)
-    assert (est.W_N > 0).all()
-    for j, t in enumerate(GRID):
-        reg = min(REGS, key=lambda r: abs(r.anchor_t2 - t))
-        order = min(math.floor(reg.alpha_hat), MAX_ORDER)
-        stats = _points_stats(ds, t, est.h_star[j], order, BIWEIGHT, 2,
-                              2.0 * reg.alpha_hat)
-        assert est.W_N[j] == stats.W_N
-        assert est.values[j] == (np.where(stats.w, stats.xhat, 0.0).sum()
-                                 / stats.W_N)
-        cb = kernel_abs_moment(BIWEIGHT, 2.0 * reg.alpha_hat)
-        want = mean_risk_terms(stats, reg, noise, plugin_variance(P[:, j]),
-                               ds.n_curves, c_bar1=cb if approx else None)
-        assert_same_risk([est.risk_bias[j], est.risk_var[j],
-                          est.risk_dropout[j]], want)
+    capped_tie = [reg_stub(GRID[1], 0.6, L2=0.8),
+                  reg_stub(GRID[9], MAX_ORDER + 1.3, L2=1.5)]
+    assert GRID[5] - GRID[1] == GRID[9] - GRID[5]
+    for regs in (REGS, capped_tie):
+        est = estimate_mean(ds, GRID, regs, noise, use_moment_approx=approx)
+        assert (est.W_N > 0).all()
+        for j, t in enumerate(GRID):
+            # min keeps the first of equally near anchors, the earlier one
+            reg = min(regs, key=lambda r: abs(r.anchor_t2 - t))
+            order = min(math.floor(reg.alpha_hat), MAX_ORDER)
+            stats = _points_stats(ds, t, est.h_star[j], order, BIWEIGHT, 2,
+                                  2.0 * reg.alpha_hat)
+            assert est.W_N[j] == stats.W_N
+            assert est.values[j] == (
+                np.where(stats.w, stats.xhat, 0.0).sum() / stats.W_N)
+            cb = kernel_abs_moment(BIWEIGHT, 2.0 * reg.alpha_hat)
+            want = mean_risk_terms(stats, reg, noise,
+                                   plugin_variance(P[:, j]), ds.n_curves,
+                                   c_bar1=cb if approx else None)
+            assert_same_risk([est.risk_bias[j], est.risk_var[j],
+                              est.risk_dropout[j]], want)
 
 
 def fits(ds):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import (
     assert_same_risk,
+    combine_pair_stats,
     constant_dataset,
     jittered_curves,
     noise_stub,
@@ -30,8 +31,7 @@ from fdadapt import (
     inclusion_stats_over_grid,
     make_dataset,
 )
-from fdadapt.covariance import (_lattice_h_star, _pair_h_star,
-                                bandwidth_admissible, combine_pair_stats)
+from fdadapt.covariance import _lattice_h_star, bandwidth_admissible
 from fdadapt.kernels import MAX_ORDER
 from fdadapt.mean import _points_stats
 
@@ -41,6 +41,11 @@ def pair_stats(ds, s, t, h, order_s, order_t, k0, alpha_s, alpha_t):
     return combine_pair_stats(
         _points_stats(ds, s, h, order_s, BIWEIGHT, k0, 2.0 * alpha_s),
         _points_stats(ds, t, h, order_t, BIWEIGHT, k0, 2.0 * alpha_t))
+
+
+def regularity_arrays(regs):
+    """The alpha_hat and L2_hat arrays of regularity estimates."""
+    return np.array([[r.alpha_hat, r.L2_hat] for r in regs]).T
 
 
 def grid_records(ds, s, t, reg_s, reg_t, kernel, k0):
@@ -230,17 +235,19 @@ class TestDiagonalBand:
 
 
 class TestSelectCovBandwidth:
-    """_pair_h_star, the bandwidth the lattice selects for one pair."""
+    """The bandwidth the lattice selects for one pair: _lattice_h_star of
+    the pair's two grid records."""
 
     def test_selected_bandwidth_is_admissible(self, rng):
         ds = random_dataset(rng, n_curves=10, n_lo=20, n_hi=35)
         s, t = 0.3, 0.7
         regs = (reg_stub(s, 0.5), reg_stub(t, 0.5))
-        rest = (noise_stub(0.02), 1.0, 1.0, 0.5, ds.n_curves)
+        noise, m2, var, N = noise_stub(0.02), np.ones(2), 0.5, ds.n_curves
         records = grid_records(ds, s, t, *regs, BIWEIGHT, 2)
-        h_star = _pair_h_star(*records, *regs, *rest)
+        h_star = _lattice_h_star(records, *regularity_arrays(regs), noise,
+                                 m2, [var], N)[0, 1]
         ps = combine_pair_stats(*records)
-        total = sum(covariance_risk_terms(ps, *regs, *rest))
+        total = sum(covariance_risk_terms(ps, *regs, noise, *m2, var, N))
         (idx,) = np.flatnonzero(ps.h == h_star)
         assert bandwidth_admissible(s, t, h_star)
         assert ps.W_pair[idx] > 0
@@ -251,8 +258,9 @@ class TestSelectCovBandwidth:
         ds = random_dataset(rng, n_curves=10, n_lo=20, n_hi=35)
         regs = (reg_stub(0.5, 0.5), reg_stub(0.515, 0.5))
         records = grid_records(ds, 0.5, 0.515, *regs, BIWEIGHT, 2)
-        assert _pair_h_star(*records, *regs, noise_stub(0.02), 1.0, 1.0,
-                            0.5, ds.n_curves) is None
+        assert np.isnan(_lattice_h_star(
+            records, *regularity_arrays(regs), noise_stub(0.02), np.ones(2),
+            [0.5], ds.n_curves)[0, 1])
 
 
 class TestLatticeBandwidths:
@@ -291,7 +299,8 @@ class TestLatticeBandwidths:
             m2 = rng.uniform(0.5, 2.0, coords.size)
             pairs = list(zip(*np.triu_indices(coords.size, 1)))
             var = rng.uniform(0.1, 1.0, len(pairs))
-            H = _lattice_h_star(records, regs, noise, m2, var, N)
+            H = _lattice_h_star(records, *regularity_arrays(regs), noise, m2,
+                                var, N)
             assert np.isnan(np.diag(H)).all()
             assert_array_equal(H, H.T)
             for p, (k, l) in enumerate(pairs):
@@ -317,7 +326,8 @@ class TestCovRiskOverGrid:
 
     def check(self, ds, s, t, reg_s, reg_t, k0=2):
         """The grid's pair record and total risk, once checked."""
-        args = (reg_s, reg_t, noise_stub(0.02), 1.3, 0.9, 0.6, ds.n_curves)
+        noise, m2, var = noise_stub(0.02), np.array([1.3, 0.9]), 0.6
+        args = (reg_s, reg_t, noise, *m2, var, ds.n_curves)
         records = grid_records(ds, s, t, reg_s, reg_t, self.kernel, k0)
         ps = combine_pair_stats(*records)
         terms = covariance_risk_terms(ps, *args)
@@ -340,8 +350,10 @@ class TestCovRiskOverGrid:
         for k, got in enumerate(terms):
             assert_same_risk(got, want[:, k])
         assert_array_equal(ps.W_pair, W)
-        assert _pair_h_star(*records, *args) == ps.h[
-            int(np.argmin(want.sum(axis=1)))]
+        h_star = _lattice_h_star(
+            records, *regularity_arrays((reg_s, reg_t)), noise, m2, [var],
+            ds.n_curves)[0, 1]
+        assert h_star == ps.h[int(np.argmin(want.sum(axis=1)))]
         return ps, sum(terms)
 
     def test_empty_and_inadmissible_bandwidths(self, rng):
