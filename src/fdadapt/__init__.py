@@ -14,10 +14,10 @@ from .dataset import (
     DESIGN_COMMON,
     DESIGN_INDEPENDENT,
     CurveObservations,
-    EvalGrid,
     FunctionalDataset,
     ingest_long_csv,
     make_dataset,
+    uniform_grid,
     write_long_csv,
 )
 from .kernels import (

@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from .dataset import EvalGrid, ingest_long_csv, write_long_csv
+from .dataset import ingest_long_csv, uniform_grid, write_long_csv
 from .errors import FdadaptError, ValidationError
 from .evaluate import (
     ExperimentConfig,
@@ -122,18 +122,16 @@ def _cmd_simulate(args):
     design = DesignSpec(kind=args.design, m_mean=args.m,
                         p_jitter=args.p_jitter)
     noise = _noise_from_args(args)
-    eval_grid = (
-        EvalGrid.make_uniform(args.latent_grid) if args.latent_out else None
-    )
+    grid = uniform_grid(args.latent_grid) if args.latent_out else None
     sampled = sample_dataset(spec, design, noise, args.n, args.seed,
-                             eval_grid=eval_grid)
+                             eval_grid=grid)
     write_long_csv(sampled.dataset, args.out)
     if args.latent_out:
-        rows = []
-        for i in range(args.n):
-            for t, x in zip(eval_grid.points, sampled.grid_latents[i]):
-                rows.append((i, t, x))
-        _write_rows(args.latent_out, ("curve_id", "t", "x"), rows)
+        # curve-major: every grid point of curve 0, then of curve 1, ...
+        _write_rows(args.latent_out, ("curve_id", "t", "x"),
+                    zip(np.repeat(np.arange(args.n), grid.size),
+                        np.tile(grid, args.n),
+                        sampled.grid_latents.ravel()))
     return 0
 
 
@@ -225,8 +223,7 @@ def _cmd_mean(args):
     spec = _bandwidth_grid_from_args(
         args, dataset, BandwidthGrid.default_mean(dataset.m_hat)
     )
-    est = _fit_from_args(args, dataset,
-                         EvalGrid.make_uniform(args.grid).points,
+    est = _fit_from_args(args, dataset, uniform_grid(args.grid),
                          mean_bandwidths=spec,
                          moment_approx=args.moment_approx).mean
     ts = _input_time(dataset, est.points)
@@ -247,25 +244,22 @@ def _cmd_cov(args):
     dataset = ingest_long_csv(args.data, rescale=args.rescale)
     spec = _bandwidth_grid_from_args(args, dataset,
                                      BandwidthGrid.default_cov())
-    surf = _fit_from_args(args, dataset,
-                          EvalGrid.make_uniform(args.mean_grid).points,
-                          EvalGrid.make_uniform(args.grid).points,
-                          cov_bandwidths=spec,
+    surf = _fit_from_args(args, dataset, uniform_grid(args.mean_grid),
+                          uniform_grid(args.grid), cov_bandwidths=spec,
                           psd_project=args.psd_project).cov
-    ss = _input_time(dataset, surf.grid_s)
-    ts = _input_time(dataset, surf.grid_t)
-    hs = _input_time(dataset, surf.h_star, width=True)
-    rows = []
-    for i, s in enumerate(ss):
-        for j, t in enumerate(ts):
-            rows.append((s, t, surf.gamma_values[i, j], surf.values[i, j],
-                         hs[i, j], surf.in_band[i, j], surf.W_N_pair[i, j]))
+    # row-major cells: s is the row's grid point, t the column's
+    x = _input_time(dataset, surf.grid)
+    n = x.size
     d = _input_time(dataset, surf.band_width_d, width=True)
     preamble = f"# d={d!r} c={surf.band_exponent_c!r}"
     _write_rows(args.out,
                 ("s", "t", "gamma_hat", "Gamma_hat", "h_star", "in_band",
                  "W_N_pair"),
-                rows, preamble=preamble)
+                zip(np.repeat(x, n), np.tile(x, n),
+                    surf.gamma_values.ravel(), surf.values.ravel(),
+                    _input_time(dataset, surf.h_star, width=True).ravel(),
+                    surf.in_band.ravel(), surf.W_N_pair.ravel()),
+                preamble=preamble)
     return 0
 
 

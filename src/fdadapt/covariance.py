@@ -9,10 +9,11 @@ governed by the estimated regularity, is filled by extending the value
 from the band boundary. The risk is minimized on a coarse lattice of
 coordinate pairs, all scored at once over the whole bandwidth grid from
 the coordinates' grid records, and the chosen bandwidths are interpolated
-to the surface. The surface evaluates its distinct pairs, one per cell off
-the band and one boundary pair per midpoint inside it, in blocks: one
-point record (mean._points_stats) at each end of a block, whatever the
-polynomial orders of the ends.
+to the surface. The surface is symmetric: it evaluates the distinct pairs
+of its upper-triangle cells, one per cell off the band and one boundary
+pair per midpoint inside it, and mirrors them. The pairs are evaluated in
+blocks: one point record (mean._points_stats) at each end of a block,
+whatever the polynomial orders of the ends.
 """
 
 from dataclasses import dataclass
@@ -194,10 +195,9 @@ def _bilinear(lattice, H, a, b):
 
 @dataclass(frozen=True)
 class CovarianceSurface:
-    """Adaptive covariance surface on a rectangular grid."""
+    """Adaptive covariance surface on the square of a grid."""
 
-    grid_s: np.ndarray
-    grid_t: np.ndarray
+    grid: np.ndarray
     values: np.ndarray
     gamma_values: np.ndarray
     h_star: np.ndarray
@@ -210,11 +210,10 @@ class CovarianceSurface:
     lattice_h: np.ndarray
 
 
-def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
-                        mean_result, kernel=BIWEIGHT, k0=2, schedule=None,
-                        grid_spec=None, presmooth_kernel=EPANECHNIKOV,
-                        psd_project=False):
-    """Adaptive covariance surface on grid_s x grid_t.
+def estimate_covariance(dataset, grid, reg_anchors, noise, mean_result,
+                        kernel=BIWEIGHT, k0=2, schedule=None, bandwidths=None,
+                        presmooth_kernel=EPANECHNIKOV, psd_project=False):
+    """Adaptive covariance surface on grid x grid.
 
     Bandwidths are solved on a coarse coordinate lattice and
     interpolated bilinearly. Pairs inside the diagonal band take the
@@ -227,24 +226,22 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
     kernel = get_kernel(kernel)
     if schedule is None:
         schedule = RegularitySchedule(m_hat=dataset.m_hat)
-    if grid_spec is None:
-        grid_spec = BandwidthGrid.default_cov()
+    if bandwidths is None:
+        bandwidths = BandwidthGrid.default_cov()
     regs = sorted(reg_anchors, key=lambda r: r.anchor_t2)
-    pts_s = np.asarray(getattr(grid_s, "points", grid_s), dtype=float)
-    pts_t = np.asarray(getattr(grid_t, "points", grid_t), dtype=float)
+    pts = np.asarray(grid, dtype=float)
     N = dataset.n_curves
 
     med_alpha = float(np.median([r.alpha_hat for r in regs]))
     d_band = diagonal_band_width(dataset, med_alpha)
     c_exp = band_exponent(med_alpha)
 
-    lo = float(min(pts_s.min(), pts_t.min()))
-    hi = float(max(pts_s.max(), pts_t.max()))
+    lo, hi = float(pts.min()), float(pts.max())
     if hi - lo < 1e-6:
         lo = max(1e-4, lo - 0.1)
         hi = min(1.0 - 1e-4, hi + 0.1)
     lattice = np.linspace(lo, hi, LATTICE_SIZE)
-    hs = grid_spec.values()
+    hs = bandwidths.values()
 
     def mu_at(x):
         return np.interp(x, mean_result.points, mean_result.values)
@@ -264,10 +261,11 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
                             var_lat, N)
     H_lat = _fill_lattice_nan(H_lat)
 
-    # each cell's canonical pair a <= b; a cell inside the band takes the
-    # band boundary pair that shares its midpoint
-    S, T = np.meshgrid(pts_s, pts_t, indexing="ij")
-    a, b = np.minimum(S, T).ravel(), np.maximum(S, T).ravel()
+    # each upper cell's canonical pair a <= b; a cell inside the band
+    # takes the band boundary pair that shares its midpoint
+    iu = np.triu_indices(pts.size)
+    a = np.minimum(pts[iu[0]], pts[iu[1]])
+    b = np.maximum(pts[iu[0]], pts[iu[1]])
     in_band = b - a <= d_band
     margin = 0.5 * d_band + 1e-9
     u = np.clip(0.5 * (a + b), margin, 1.0 - margin)
@@ -305,30 +303,30 @@ def estimate_covariance(dataset, grid_s, grid_t, reg_anchors, noise,
 
     Gamma = value[k]
     G = np.where(in_band, Gamma + mu_at(a) * mu_at(b), gamma[k])
-    shape = (pts_s.size, pts_t.size)
+
+    def mirrored(x):
+        out = np.empty((pts.size, pts.size), dtype=x.dtype)
+        out[iu] = x
+        out[iu[::-1]] = x
+        return out
+
     G, Gamma, H_out, W_out, in_band = (
-        x.reshape(shape) for x in (G, Gamma, h[k], W[k], in_band))
+        mirrored(x) for x in (G, Gamma, h[k], W[k], in_band))
 
     undefined = np.isnan(Gamma)
-    if undefined.all(axis=1).any() or undefined.all(axis=0).any():
+    if undefined.all(axis=1).any():
         raise EstimationError(
             "covariance surface undefined along an entire row or column"
         )
 
     if psd_project:
-        if pts_s.size != pts_t.size or not np.allclose(pts_s, pts_t):
-            raise ValidationError(
-                "psd projection needs identical s and t grids"
-            )
         M = np.where(undefined, 0.0, Gamma)
-        M = 0.5 * (M + M.T)
         vals, vecs = np.linalg.eigh(M)
         M = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
         Gamma = np.where(undefined, np.nan, 0.5 * (M + M.T))
 
     return CovarianceSurface(
-        grid_s=pts_s,
-        grid_t=pts_t,
+        grid=pts,
         values=Gamma,
         gamma_values=G,
         h_star=H_out,

@@ -153,38 +153,12 @@ def make_dataset(curves, design=None):
     return FunctionalDataset(curves, design)
 
 
-@dataclass(frozen=True)
-class EvalGrid:
-    """Sorted evaluation points inside the open unit interval."""
-
-    points: np.ndarray
-    uniform: bool = False
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        object.__setattr__(self, "points", pts)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValidationError("an evaluation grid needs at least 2 points")
-        if np.any(np.diff(pts) <= 0.0):
-            raise ValidationError("grid points must be strictly increasing")
-        if pts[0] <= 0.0 or pts[-1] >= 1.0:
-            raise ValidationError("grid points must lie strictly inside (0,1)")
-
-    @staticmethod
-    def make_uniform(n, lo=None, hi=None):
-        """n equispaced points; default bounds are 1/(n+1) and n/(n+1)."""
-        if n < 2:
-            raise ValidationError("uniform grid needs n >= 2")
-        if lo is None and hi is None:
-            pts = np.arange(1, n + 1, dtype=float) / (n + 1)
-        else:
-            if lo is None or hi is None or not lo < hi:
-                raise ValidationError("need lo < hi for a uniform grid")
-            pts = np.linspace(lo, hi, n)
-        return EvalGrid(points=pts, uniform=True)
-
-    def __len__(self):
-        return self.points.size
+def uniform_grid(n):
+    """n equispaced points strictly inside the unit interval, from
+    1/(n+1) to n/(n+1)."""
+    if n < 2:
+        raise ValidationError("uniform grid needs n >= 2")
+    return np.arange(1, n + 1) / (n + 1)
 
 
 _CSV_HEADER = ["curve_id", "t", "y"]

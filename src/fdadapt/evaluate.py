@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import EvalGrid
+from .dataset import uniform_grid
 from .errors import (
     EstimationError,
     ExperimentError,
@@ -14,12 +14,13 @@ from .errors import (
     ValidationError,
 )
 from .covariance import CovarianceSurface, estimate_covariance
-from .kernels import BIWEIGHT, EPANECHNIKOV
+from .kernels import BIWEIGHT, EPANECHNIKOV, get_kernel
 from .mean import MeanEstimate, estimate_mean
 from .regularity import (
     NOISE_CONSTANT,
     NoiseEstimate,
     RegularitySchedule,
+    anchor_points,
     estimate_noise,
     regularity_at_anchors,
 )
@@ -29,7 +30,7 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 def _grid_points(grid):
-    pts = np.asarray(getattr(grid, "points", grid), dtype=float)
+    pts = np.asarray(grid, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
         raise ValidationError("grid must hold at least 2 points")
     return pts
@@ -60,31 +61,29 @@ def ise_1d(values_hat, values_ref, grid):
     return raw * span / covered
 
 
-def ise_2d(values_hat, values_ref, grid_s, grid_t):
-    """Integrated squared error over a surface grid.
+def ise_2d(values_hat, values_ref, grid):
+    """Integrated squared error over the square of a grid.
 
     Cells with any non-finite corner are excluded and the integral is
     rescaled by total area over covered area.
     """
-    s = _grid_points(grid_s)
-    t = _grid_points(grid_t)
+    x = _grid_points(grid)
     A = np.asarray(values_hat, dtype=float)
     B = np.asarray(values_ref, dtype=float)
-    if A.shape != (s.size, t.size) or B.shape != A.shape:
-        raise ValidationError("ise_2d inputs must match the grid shapes")
+    if A.shape != (x.size, x.size) or B.shape != A.shape:
+        raise ValidationError("ise_2d inputs must match the grid shape")
     D = (A - B) ** 2
     F = np.isfinite(D)
     cell_ok = F[:-1, :-1] & F[1:, :-1] & F[:-1, 1:] & F[1:, 1:]
-    ds = np.diff(s)[:, None]
-    dt = np.diff(t)[None, :]
-    area = ds * dt
+    dx = np.diff(x)
+    area = dx[:, None] * dx[None, :]
     corner_mean = 0.25 * (D[:-1, :-1] + D[1:, :-1] + D[:-1, 1:] + D[1:, 1:])
     covered = float(area[cell_ok].sum())
     if covered <= 0.0:
         raise EstimationError("no fully defined cell for ise_2d")
     raw = float((area * np.where(cell_ok, corner_mean, 0.0)).sum())
-    total = (s[-1] - s[0]) * (t[-1] - t[0])
-    return raw * total / covered
+    span = x[-1] - x[0]
+    return raw * (span * span) / covered
 
 
 def empirical_mean_tilde(grid_latents):
@@ -152,6 +151,18 @@ class ExperimentConfig:
         for est in self.estimators:
             if est not in ("mean", "cov"):
                 raise ValidationError(f"unknown estimator {est!r}")
+        # bad usage fails here, not as failed replications
+        for N, m in self.pairs:
+            if N < 2:
+                raise ValidationError("n_curves must be at least 2")
+            DesignSpec(kind=self.design_kind, m_mean=m,
+                       p_jitter=self.p_jitter)
+        uniform_grid(self.grid_n)
+        if "cov" in self.estimators:
+            uniform_grid(self.cov_grid_n)
+        get_kernel(self.kernel)
+        get_kernel(self.presmooth_kernel)
+        anchor_points(self.n_anchors)
 
     def config_id(self, ci):
         N, m = self.pairs[ci]
@@ -196,14 +207,14 @@ def fit(dataset, mean_points, cov_points=None, *, schedule=None,
     )
     noise = estimate_noise(dataset, mean_points, mode=noise_mode)
     mean = estimate_mean(dataset, mean_points, regs, noise, kernel=kernel,
-                         k0=k0, schedule=schedule, grid_spec=mean_bandwidths,
+                         k0=k0, schedule=schedule, bandwidths=mean_bandwidths,
                          use_moment_approx=moment_approx,
                          presmooth_kernel=presmooth_kernel)
     cov = None
     if cov_points is not None:
-        cov = estimate_covariance(dataset, cov_points, cov_points, regs,
-                                  noise, mean, kernel=kernel, k0=k0,
-                                  schedule=schedule, grid_spec=cov_bandwidths,
+        cov = estimate_covariance(dataset, cov_points, regs, noise, mean,
+                                  kernel=kernel, k0=k0,
+                                  schedule=schedule, bandwidths=cov_bandwidths,
                                   presmooth_kernel=presmooth_kernel,
                                   psd_project=psd_project)
     return Fit(regularity=regs, dropped=dropped, noise=noise,
@@ -230,12 +241,9 @@ def _run_one(payload):
     try:
         design = DesignSpec(kind=config.design_kind, m_mean=m,
                             p_jitter=config.p_jitter)
-        mean_pts = EvalGrid.make_uniform(config.grid_n).points
+        mean_pts = uniform_grid(config.grid_n)
         want_cov = "cov" in config.estimators
-        cov_pts = (
-            EvalGrid.make_uniform(config.cov_grid_n).points
-            if want_cov else None
-        )
+        cov_pts = uniform_grid(config.cov_grid_n) if want_cov else None
         all_pts = np.union1d(mean_pts, cov_pts) if want_cov else mean_pts
         sampled = sample_dataset(config.process, design, config.noise, N, ss,
                                  eval_grid=all_pts)
@@ -261,9 +269,8 @@ def _run_one(payload):
                                        cov_pts[None, :])
             row["ise_cov_tilde"] = ise_2d(cov_vals,
                                           empirical_cov_tilde(lat_cov),
-                                          cov_pts, cov_pts)
-            row["ise_cov_true"] = ise_2d(cov_vals, cov_true, cov_pts,
-                                         cov_pts)
+                                          cov_pts)
+            row["ise_cov_true"] = ise_2d(cov_vals, cov_true, cov_pts)
     except FdadaptError as exc:
         row["failed"] = True
         row["error"] = f"{type(exc).__name__}: {exc}"

@@ -368,16 +368,16 @@ class RiskProfile:
 
 
 def select_mean_bandwidth(dataset, t, reg, noise, var_X_t, kernel, k0,
-                          grid_spec=None, use_moment_approx=False):
+                          bandwidths=None, use_moment_approx=False):
     """Minimize the penalized risk over a log bandwidth grid.
 
     Ties break toward the smaller bandwidth. Raises when every grid
     bandwidth leaves all curves excluded.
     """
     kernel = get_kernel(kernel)
-    if grid_spec is None:
-        grid_spec = BandwidthGrid.default_mean(dataset.m_hat)
-    hs = grid_spec.values()
+    if bandwidths is None:
+        bandwidths = BandwidthGrid.default_mean(dataset.m_hat)
+    hs = bandwidths.values()
     order = min(int(math.floor(reg.alpha_hat)), MAX_ORDER)
     alpha_exp = 2.0 * reg.alpha_hat
     k0 = max(k0, order + 1)
@@ -439,7 +439,7 @@ class MeanEstimate:
 
 
 def estimate_mean(dataset, grid, reg_per_anchor, noise, kernel=BIWEIGHT,
-                  k0=2, schedule=None, grid_spec=None,
+                  k0=2, schedule=None, bandwidths=None,
                   use_moment_approx=False, presmooth_kernel=EPANECHNIKOV):
     """Adaptive mean on a grid.
 
@@ -455,7 +455,7 @@ def estimate_mean(dataset, grid, reg_per_anchor, noise, kernel=BIWEIGHT,
         schedule = RegularitySchedule(m_hat=dataset.m_hat)
     regs = sorted(reg_per_anchor, key=lambda r: r.anchor_t2)
     anchor_ts = np.array([r.anchor_t2 for r in regs])
-    pts = np.asarray(getattr(grid, "points", grid), dtype=float)
+    pts = np.asarray(grid, dtype=float)
     N = dataset.n_curves
 
     # one presmoothing pass feeds every variance plug-in
@@ -469,7 +469,7 @@ def estimate_mean(dataset, grid, reg_per_anchor, noise, kernel=BIWEIGHT,
         try:
             prof = select_mean_bandwidth(
                 dataset, anchor_ts[j], reg, noise, anchor_var[j], kernel,
-                k0, grid_spec=grid_spec, use_moment_approx=use_moment_approx,
+                k0, bandwidths=bandwidths, use_moment_approx=use_moment_approx,
             )
         except InsufficientDataError:
             continue

@@ -272,7 +272,7 @@ def estimate_noise(dataset, grid, mode=NOISE_CONSTANT):
         raise ValidationError(f"unknown noise mode {mode!r}")
     if (dataset.lengths < 2).any():
         raise ValidationError("noise estimation needs at least 2 points per curve")
-    pts = np.asarray(getattr(grid, "points", grid), dtype=float)
+    pts = np.asarray(grid, dtype=float)
     K0 = noise_k0(dataset.m_hat)
 
     # each curve's squared differences: a slice of those of the flat

@@ -262,7 +262,7 @@ def sample_dataset(spec, design, noise, n_curves, seed, eval_grid=None):
     grid_pts = None
     n_grid = 0
     if eval_grid is not None:
-        grid_pts = np.asarray(getattr(eval_grid, "points", eval_grid), dtype=float)
+        grid_pts = np.asarray(eval_grid, dtype=float)
         n_grid = grid_pts.size
 
     common_times = None

@@ -132,7 +132,7 @@ def fits(ds):
     """A mean, a covariance surface and a presmoothing matrix."""
     noise = noise_stub(0.05)
     mean = estimate_mean(ds, GRID, REGS, noise)
-    cov = estimate_covariance(ds, GRID, GRID, REGS, noise, mean)
+    cov = estimate_covariance(ds, GRID, REGS, noise, mean)
     return mean, cov, presmooth_matrix(ds, GRID, 0.05, EPANECHNIKOV, d=1)
 
 

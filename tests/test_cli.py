@@ -12,7 +12,6 @@ from fdadapt import (
     BandwidthGrid,
     CurveObservations,
     DesignSpec,
-    EvalGrid,
     NoiseSpec,
     ProcessSpec,
     RegularitySchedule,
@@ -22,6 +21,7 @@ from fdadapt import (
     make_dataset,
     regularity_at_anchors,
     sample_dataset,
+    uniform_grid,
     write_long_csv,
 )
 from fdadapt.cli import main
@@ -70,6 +70,11 @@ def read_columns(path, skip=0):
     }
 
 
+def cell(x):
+    """A float as the CSV writers print it: repr, empty when NaN."""
+    return "" if np.isnan(x) else repr(float(x))
+
+
 def shift_times(src, dst):
     """Copy a long CSV with every time t mapped to 5 + 10 t."""
     lines = src.read_text().splitlines()
@@ -109,12 +114,21 @@ class TestSimulate:
     def test_latent_sidecar(self, tmp_path):
         out = tmp_path / "d.csv"
         lat = tmp_path / "lat.csv"
-        assert main(["simulate", "--n", "4", "--m", "10",
+        assert main(["simulate", "--n", "4", "--m", "10", "--seed", "3",
                      "--latent-grid", "17", "--out", str(out),
                      "--latent-out", str(lat)]) == 0
         lines = lat.read_text().splitlines()
         assert lines[0] == "curve_id,t,x"
         assert len(lines) == 1 + 4 * 17
+        grid = uniform_grid(17)
+        X = sample_dataset(ProcessSpec(kind="fbm", hurst=0.5),
+                           DesignSpec(kind="independent", m_mean=10),
+                           NoiseSpec(kind="homoscedastic", sd=0.1), 4, 3,
+                           eval_grid=grid).grid_latents
+        # curve-major: all grid points of curve 0 first
+        want = [f"{i},{cell(t)},{cell(X[i, j])}"
+                for i in range(4) for j, t in enumerate(grid)]
+        assert lines[1:] == want
 
 
 class TestRegularity:
@@ -206,6 +220,19 @@ class TestCov:
             table[(s, t)] = cells[3]
         for (s, t), val in table.items():
             assert table[(t, s)] == val
+        # every column against the library fit, cells in row-major order
+        grid = uniform_grid(7)
+        want = fit(ingest_long_csv(data_csv), uniform_grid(31), grid,
+                   n_anchors=6).cov
+        columns = list(zip(*(line.split(",") for line in lines[2:])))
+        assert columns[0] == tuple(cell(x) for x in np.repeat(grid, 7))
+        assert columns[1] == tuple(cell(x) for x in np.tile(grid, 7))
+        for k, field in ((2, "gamma_values"), (3, "values"), (4, "h_star")):
+            assert columns[k] == tuple(
+                cell(x) for x in getattr(want, field).ravel())
+        assert columns[5] == tuple("1" if b else "0"
+                                   for b in want.in_band.ravel())
+        assert columns[6] == tuple(str(w) for w in want.W_N_pair.ravel())
 
     def test_band_width_parses(self, data_csv, tmp_path):
         out = tmp_path / "cov.csv"
@@ -238,8 +265,7 @@ class TestCov:
         k, l = np.indices(seen[0].shape)
         assert np.array_equal(seen[0], abs(k - l) <= 1)
         surf = fit(ingest_long_csv(data_csv),
-                   EvalGrid.make_uniform(101).points,
-                   EvalGrid.make_uniform(21).points, n_anchors=6,
+                   uniform_grid(101), uniform_grid(21), n_anchors=6,
                    cov_bandwidths=BandwidthGrid(h_min=0.06, h_max=0.1,
                                                 count=41)).cov
         assert np.diff(surf.lattice)[0] > 0.1
@@ -309,7 +335,7 @@ class TestAnchorFailurePolicy:
         assert main(["mean", "--data", str(fou_csv), "--anchors", "20",
                      "--out", str(out)]) == 0
         want = fit(ingest_long_csv(fou_csv),
-                   EvalGrid.make_uniform(101).points, n_anchors=20)
+                   uniform_grid(101), n_anchors=20)
         assert len(want.dropped) == 1
         assert_array_equal(read_columns(out)["mu_hat"], want.mean.values)
 
@@ -347,7 +373,7 @@ class TestRescale:
         path, ds = shifted
         offset, scale = ds.time_transform
         cols = read_columns(self.run(tmp_path, path, "mean", "--grid", "31"))
-        grid = EvalGrid.make_uniform(31).points
+        grid = uniform_grid(31)
         assert_allclose(cols["t"], offset + scale * grid, rtol=1e-14)
         want = fit(ds, grid, n_anchors=6).mean
         assert_allclose(cols["h_star"], scale * want.h_star, rtol=1e-14)
@@ -359,8 +385,8 @@ class TestRescale:
         out = self.run(tmp_path, path, "cov", "--grid", "5",
                        "--mean-grid", "21")
         cols = read_columns(out, skip=1)
-        grid = EvalGrid.make_uniform(5).points
-        want = fit(ds, EvalGrid.make_uniform(21).points, grid,
+        grid = uniform_grid(5)
+        want = fit(ds, uniform_grid(21), grid,
                    n_anchors=6).cov
         assert_allclose(cols["s"], offset + scale * np.repeat(grid, 5),
                         rtol=1e-14)
@@ -517,3 +543,32 @@ class TestExperiment:
         rc = main(["experiment", "--pairs", "12y40",
                    "--out", str(tmp_path / "r.csv")])
         assert rc == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--pairs", "1x40"],
+        ["--pairs", "40x1"],
+        ["--grid", "1"],
+        ["--anchors", "0"],
+        ["--kernel", "foo"],
+        ["--design", "common", "--p-jitter", "0.2"],
+        ["--estimators", "mean,cov", "--cov-grid", "1"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_bad_usage_exit_1(self, tmp_path, capsys, flags):
+        """Bad usage fails before any replication runs, as for mean and
+        cov, not as failed replications (exit 2)."""
+        out = tmp_path / "r.csv"
+        argv = ["experiment", "--process", "fou", "--replications", "2",
+                "--out", str(out)]
+        if "--pairs" not in flags:
+            argv += ["--pairs", "40x40"]
+        assert main(argv + flags) == 1
+        assert capsys.readouterr().err.startswith("fdadapt: error: ")
+        assert not out.exists()
+
+    def test_cov_grid_unused_without_cov(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert main(["experiment", "--pairs", "12x40", "--design", "common",
+                     "--replications", "2", "--grid", "21", "--anchors", "3",
+                     "--estimators", "mean", "--cov-grid", "1",
+                     "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3

@@ -393,7 +393,7 @@ class TestEstimateCovariance:
         grid = np.linspace(0.1, 0.9, 33)
         mu = mean_stub(grid, mean_values)
         return ds, grid, estimate_covariance(
-            ds, grid, grid, regs, noise_stub(0.0), mu,
+            ds, grid, regs, noise_stub(0.0), mu,
             psd_project=psd_project,
         )
 
@@ -444,18 +444,6 @@ class TestEstimateCovariance:
         assert eig.min() >= -1e-10
         assert_allclose(proj.values, raw.values, atol=1e-8)
 
-    def test_psd_projection_needs_square_grid(self):
-        times = np.linspace(0.02, 0.98, 60)
-        ds = constant_dataset(self.levels, times)
-        regs = [reg_stub(0.5, 0.5, L2=0.5)]
-        gs = np.linspace(0.1, 0.9, 9)
-        gt = np.linspace(0.1, 0.9, 11)
-        with pytest.raises(ValidationError):
-            estimate_covariance(
-                ds, gs, gt, regs, noise_stub(0.0), mean_stub(gs, 3.0),
-                psd_project=True,
-            )
-
     def test_uncovered_row_raises(self):
         times = np.linspace(0.5, 0.98, 40)
         ds = constant_dataset([1.0, 2.0, 3.0], times)
@@ -463,14 +451,14 @@ class TestEstimateCovariance:
         grid = np.array([0.05, 0.6, 0.7, 0.8])
         with pytest.raises(EstimationError):
             estimate_covariance(
-                ds, grid, grid, regs, noise_stub(0.0), mean_stub(grid, 2.0)
+                ds, grid, regs, noise_stub(0.0), mean_stub(grid, 2.0)
             )
 
     def test_needs_anchor(self, rng):
         ds = random_dataset(rng)
         grid = np.linspace(0.2, 0.8, 5)
         with pytest.raises(ValidationError):
-            estimate_covariance(ds, grid, grid, [], noise_stub(0.0),
+            estimate_covariance(ds, grid, [], noise_stub(0.0),
                                 mean_stub(grid, 0.0))
 
 
@@ -482,12 +470,12 @@ class TestSurfaceCells:
     regs = [reg_stub(0.3, 0.6, L2=0.8), reg_stub(0.7, 1.3, L2=1.2)]
     mean = 0.2
 
-    def surface(self, rng, grid_spec=None):
+    def surface(self, rng, bandwidths=None):
         ds = make_dataset(jittered_curves(rng, 20, 60, 100))
         grid = np.linspace(0.1, 0.9, 15)
         return ds, grid, estimate_covariance(
-            ds, grid, grid, self.regs, noise_stub(0.05),
-            mean_stub(grid, self.mean), grid_spec=grid_spec)
+            ds, grid, self.regs, noise_stub(0.05),
+            mean_stub(grid, self.mean), bandwidths=bandwidths)
 
     def end(self, x):
         """(order, alpha) of the anchor nearest to x."""
@@ -534,7 +522,7 @@ class TestSurfaceCells:
         # with a floor of 0.1 no grid bandwidth is admissible for pairs
         # closer than 0.2; their fallback h = |t - s| / 2 is below it
         spec = BandwidthGrid(0.1, 0.3, 9)
-        _, grid, surf = self.surface(rng, grid_spec=spec)
+        _, grid, surf = self.surface(rng, bandwidths=spec)
         gap = np.abs(grid[:, None] - grid[None, :])
         below = ~surf.in_band & (gap < 0.2)
         assert below.any()

@@ -14,7 +14,6 @@ from fdadapt import (
     DESIGN_INDEPENDENT,
     CurveObservations,
     DesignSpec,
-    EvalGrid,
     FunctionalDataset,
     NoiseSpec,
     ProcessSpec,
@@ -22,6 +21,7 @@ from fdadapt import (
     ingest_long_csv,
     make_dataset,
     sample_dataset,
+    uniform_grid,
     write_long_csv,
 )
 
@@ -148,28 +148,18 @@ class TestFunctionalDataset:
                 column[0] = column[-1]
 
 
-class TestEvalGrid:
-    def test_make_uniform_points(self):
-        g = EvalGrid.make_uniform(3)
-        assert_allclose(g.points, [0.25, 0.5, 0.75])
-        assert g.uniform
+class TestUniformGrid:
+    def test_points(self):
+        assert_array_equal(uniform_grid(3), [0.25, 0.5, 0.75])
 
-    def test_make_uniform_excludes_endpoints(self):
-        g = EvalGrid.make_uniform(99)
-        assert g.points[0] > 0.0 and g.points[-1] < 1.0
+    def test_excludes_endpoints(self):
+        g = uniform_grid(99)
+        assert g[0] > 0.0 and g[-1] < 1.0
 
-    def test_custom_range(self):
-        g = EvalGrid.make_uniform(5, lo=0.2, hi=0.6)
-        assert_allclose(g.points[0], 0.2)
-        assert_allclose(g.points[-1], 0.6)
-
-    def test_rejects_unsorted(self):
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_rejects_fewer_than_two_points(self, n):
         with pytest.raises(ValidationError):
-            EvalGrid(points=np.array([0.5, 0.2]))
-
-    def test_rejects_boundary_points(self):
-        with pytest.raises(ValidationError):
-            EvalGrid(points=np.array([0.0, 0.5]))
+            uniform_grid(n)
 
 
 class TestLongCsv:

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from fdadapt import (
     CurveObservations,
     EstimationError,
-    EvalGrid,
     ExperimentConfig,
     ExperimentError,
     NoiseSpec,
@@ -21,6 +20,7 @@ from fdadapt import (
     make_dataset,
     rate_slope,
     run_experiment,
+    uniform_grid,
     write_report_csv,
     write_summary_csv,
 )
@@ -56,13 +56,6 @@ class TestIse1d:
         a[[10, 11, 55]] = np.nan
         assert ise_1d(a, b, self.grid) == 1.0
 
-    def test_accepts_eval_grid(self):
-        g = EvalGrid.make_uniform(51)
-        a = np.zeros(51)
-        b = np.full(51, 2.0)
-        assert_allclose(ise_1d(a, b, g), 4.0 * (g.points[-1] - g.points[0]),
-                        rtol=1e-12)
-
     def test_too_few_defined_points(self):
         a = np.full(101, np.nan)
         a[3] = 0.0
@@ -75,35 +68,34 @@ class TestIse1d:
 
 
 class TestIse2d:
-    s = np.linspace(0.0, 1.0, 41)
-    t = np.linspace(0.0, 1.0, 41)
+    grid = np.linspace(0.0, 1.0, 41)
 
     def test_unit_offset(self):
         A = np.zeros((41, 41))
         B = np.ones((41, 41))
-        assert ise_2d(A, B, self.s, self.t) == 1.0
+        assert ise_2d(A, B, self.grid) == 1.0
 
     def test_separable_difference(self):
-        A = self.s[:, None] + self.t[None, :]
+        A = self.grid[:, None] + self.grid[None, :]
         B = np.zeros((41, 41))
         # integral of (s + t)^2 over the unit square is 7/6
-        assert_allclose(ise_2d(A, B, self.s, self.t), 7.0 / 6.0, atol=2e-3)
+        assert_allclose(ise_2d(A, B, self.grid), 7.0 / 6.0, atol=2e-3)
 
     def test_nan_corner_rescales(self):
         A = np.zeros((41, 41))
         B = np.ones((41, 41))
         A[0, 0] = np.nan
         A[20, 20] = np.nan
-        assert ise_2d(A, B, self.s, self.t) == 1.0
+        assert ise_2d(A, B, self.grid) == 1.0
 
     def test_all_nan(self):
         A = np.full((41, 41), np.nan)
         with pytest.raises(EstimationError):
-            ise_2d(A, np.zeros((41, 41)), self.s, self.t)
+            ise_2d(A, np.zeros((41, 41)), self.grid)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
-            ise_2d(np.zeros((41, 40)), np.zeros((41, 41)), self.s, self.t)
+            ise_2d(np.zeros((41, 40)), np.zeros((41, 41)), self.grid)
 
 
 class TestEmpiricalTargets:
@@ -173,6 +165,15 @@ class TestExperimentConfig:
             small_config(replications=0)
         with pytest.raises(ValidationError):
             small_config(estimators=("mean", "mode"))
+        # bad usage raises when the config is built, not per replication
+        for kw in (dict(pairs=((1, 40),)), dict(pairs=((15, 40), (15, 1))),
+                   dict(grid_n=1), dict(n_anchors=0), dict(kernel="foo"),
+                   dict(presmooth_kernel="foo"), dict(p_jitter=0.2),
+                   dict(estimators=("mean", "cov"), cov_grid_n=1)):
+            with pytest.raises(ValidationError):
+                small_config(**kw)
+        # a mean-only study builds no covariance grid
+        small_config(cov_grid_n=1)
 
     def test_config_id(self):
         cfg = small_config(pairs=((15, 40), (30, 80)))
@@ -185,7 +186,7 @@ class TestFit:
         from conftest import random_dataset
 
         ds = random_dataset(rng, n_curves=20, n_lo=30, n_hi=40)
-        mean_pts = EvalGrid.make_uniform(21).points
+        mean_pts = uniform_grid(21)
         result = fit(ds, mean_pts, n_anchors=4)
         assert result.cov is None
         assert len(result.regularity) + len(result.dropped) == 4
@@ -202,7 +203,7 @@ class TestFit:
             [CurveObservations(i, times, np.ones(30)) for i in range(5)]
         )
         with pytest.raises(EstimationError):
-            fit(ds, EvalGrid.make_uniform(11).points, n_anchors=2)
+            fit(ds, uniform_grid(11), n_anchors=2)
 
 
 class TestResolveWorkers:

@@ -497,7 +497,7 @@ class TestSelectMeanBandwidth:
         reg = reg_stub(0.5, alpha=0.5, L2=0.0)
         prof = select_mean_bandwidth(
             ds, 0.5, reg, noise_stub(0.0), 0.0, BIWEIGHT, 2,
-            grid_spec=BandwidthGrid(0.1, 0.4, count=7),
+            bandwidths=BandwidthGrid(0.1, 0.4, count=7),
         )
         assert prof.h_star_index == 0
         assert prof.h_star == prof.bandwidths[0]
@@ -542,7 +542,7 @@ class TestSelectMeanBandwidth:
         with pytest.raises(InsufficientDataError):
             select_mean_bandwidth(
                 ds, 0.5, reg, noise_stub(0.1), 1.0, BIWEIGHT, 10,
-                grid_spec=BandwidthGrid(0.05, 0.4, count=10),
+                bandwidths=BandwidthGrid(0.05, 0.4, count=10),
             )
 
     def test_moment_approx_changes_bias_constant(self, rng):
@@ -563,10 +563,10 @@ class TestMeanRiskOverGrid:
 
     kernel = BIWEIGHT
 
-    def check(self, ds, t, reg, grid_spec, use_moment_approx=False, k0=2):
+    def check(self, ds, t, reg, bandwidths, use_moment_approx=False, k0=2):
         noise, var_X_t, N = noise_stub(0.03), 0.8, ds.n_curves
         prof = select_mean_bandwidth(
-            ds, t, reg, noise, var_X_t, self.kernel, k0, grid_spec=grid_spec,
+            ds, t, reg, noise, var_X_t, self.kernel, k0, bandwidths=bandwidths,
             use_moment_approx=use_moment_approx,
         )
         order = min(int(math.floor(reg.alpha_hat)), MAX_ORDER)
@@ -661,7 +661,7 @@ class TestEstimateMean:
         grid = np.array([0.3, 0.9])
         est = estimate_mean(
             ds, grid, regs, noise_stub(0.0),
-            grid_spec=BandwidthGrid(0.02, 0.08, count=10),
+            bandwidths=BandwidthGrid(0.02, 0.08, count=10),
         )
         assert np.isfinite(est.values[0])
         assert np.isnan(est.values[1])
@@ -682,5 +682,5 @@ class TestEstimateMean:
         with pytest.raises(EstimationError):
             estimate_mean(
                 ds, np.array([0.5]), regs, noise_stub(0.1), k0=30,
-                grid_spec=BandwidthGrid(0.05, 0.4, count=8),
+                bandwidths=BandwidthGrid(0.05, 0.4, count=8),
             )
