@@ -129,9 +129,8 @@ def _cmd_simulate(args):
     if args.latent_out:
         # curve-major: every grid point of curve 0, then of curve 1, ...
         _write_rows(args.latent_out, ("curve_id", "t", "x"),
-                    zip(np.repeat(np.arange(args.n), grid.size),
-                        np.tile(grid, args.n),
-                        sampled.grid_latents.ravel()))
+                    (np.repeat(np.arange(args.n), grid.size),
+                     np.tile(grid, args.n), sampled.grid_latents.ravel()))
     return 0
 
 
@@ -193,7 +192,7 @@ def _cmd_regularity(args):
     _write_rows(args.out,
                 ("t2", "t1", "t3", "delta_hat", "H_hat", "alpha_hat",
                  "L2_hat", "theta_12", "theta_13", "retained_curves"),
-                rows)
+                zip(*rows))
     return 0
 
 
@@ -228,15 +227,11 @@ def _cmd_mean(args):
                          moment_approx=args.moment_approx).mean
     ts = _input_time(dataset, est.points)
     hs = _input_time(dataset, est.h_star, width=True)
-    rows = [
-        (ts[j], est.values[j], hs[j], est.W_N[j],
-         est.risk_bias[j], est.risk_var[j], est.risk_dropout[j])
-        for j in range(est.points.size)
-    ]
     _write_rows(args.out,
                 ("t", "mu_hat", "h_star", "W_N", "risk_bias", "risk_var",
                  "risk_dropout"),
-                rows)
+                (ts, est.values, hs, est.W_N, est.risk_bias, est.risk_var,
+                 est.risk_dropout))
     return 0
 
 
@@ -255,10 +250,10 @@ def _cmd_cov(args):
     _write_rows(args.out,
                 ("s", "t", "gamma_hat", "Gamma_hat", "h_star", "in_band",
                  "W_N_pair"),
-                zip(np.repeat(x, n), np.tile(x, n),
-                    surf.gamma_values.ravel(), surf.values.ravel(),
-                    _input_time(dataset, surf.h_star, width=True).ravel(),
-                    surf.in_band.ravel(), surf.W_N_pair.ravel()),
+                (np.repeat(x, n), np.tile(x, n),
+                 surf.gamma_values.ravel(), surf.values.ravel(),
+                 _input_time(dataset, surf.h_star, width=True).ravel(),
+                 surf.in_band.ravel(), surf.W_N_pair.ravel()),
                 preamble=preamble)
     return 0
 

@@ -12,8 +12,9 @@ the coordinates' grid records, and the chosen bandwidths are interpolated
 to the surface. The surface is symmetric: it evaluates the distinct pairs
 of its upper-triangle cells, one per cell off the band and one boundary
 pair per midpoint inside it, and mirrors them. The pairs are evaluated in
-blocks: one point record (mean._points_stats) at each end of a block,
-whatever the polynomial orders of the ends.
+blocks: one kernels._lp_fits call at each end of a block, whatever the
+polynomial orders of the ends, which gives each curve's inclusion flag
+and smoothed value there and nothing else the surface does not read.
 """
 
 from dataclasses import dataclass
@@ -23,13 +24,18 @@ import numpy as np
 import scipy  # subpackages load on first use; perfbench reads its version
 
 from .errors import EstimationError, ValidationError
-from .kernels import BIWEIGHT, EPANECHNIKOV, _point_blocks, get_kernel
+from .kernels import (
+    BIWEIGHT,
+    EPANECHNIKOV,
+    _lp_fits,
+    _point_blocks,
+    get_kernel,
+)
 from .mean import (
     INFINITE_RISK,
     BandwidthGrid,
     _floor_factorial,
     _nearest_regularity,
-    _points_stats,
     inclusion_stats_over_grid,
     plugin_variance,
 )
@@ -223,6 +229,8 @@ def estimate_covariance(dataset, grid, reg_anchors, noise, mean_result,
     """
     if not reg_anchors:
         raise ValidationError("need at least one anchor regularity estimate")
+    if k0 < 1:
+        raise ValidationError("k0 must be at least 1")
     kernel = get_kernel(kernel)
     if schedule is None:
         schedule = RegularitySchedule(m_hat=dataset.m_hat)
@@ -278,7 +286,7 @@ def estimate_covariance(dataset, grid, reg_anchors, noise, mean_result,
     uniq, k = np.unique(rep, return_inverse=True)
     pa, pb = pa[uniq], pb[uniq]
 
-    ends = [_nearest_regularity(regs, x) for x in (pa, pb)]
+    end_order = [_nearest_regularity(regs, x)[2] for x in (pa, pb)]
     # interpolating lattice values that all sit on the bandwidth grid
     # cannot leave its range, so clamp away rounding noise
     h = np.clip(_bilinear(lattice, H_lat, pa, pb), hs[0], hs[-1])
@@ -289,16 +297,15 @@ def estimate_covariance(dataset, grid, reg_anchors, noise, mean_result,
     live = np.flatnonzero(h >= hs[0])
     for blk in _point_blocks(dataset, h[live], pa[live], pb[live]):
         i = live[blk]
-        sa, sb = (
-            _points_stats(dataset, x[i], h[i], o[i], kernel, k0, 2.0 * al[i])
-            for x, (al, _, o) in zip((pa, pb), ends))
+        (wa, xa, _), (wb, xb, _) = (
+            _lp_fits(dataset, x[i], h[i], o[i], kernel, k0)
+            for x, o in zip((pa, pb), end_order))
         # the mean product over the curves included at both ends, NaN
         # where no curve pair is
-        both = sa.w & sb.w
+        both = wa & wb
         W[i] = np.count_nonzero(both, axis=-1)
         with np.errstate(invalid="ignore"):
-            gamma[i] = (np.where(both, sa.xhat * sb.xhat, 0.0).sum(axis=-1)
-                        / W[i])
+            gamma[i] = np.where(both, xa * xb, 0.0).sum(axis=-1) / W[i]
     value = gamma - mu_at(pa) * mu_at(pb)
 
     Gamma = value[k]

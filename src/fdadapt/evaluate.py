@@ -148,6 +148,8 @@ class ExperimentConfig:
             raise ValidationError("need at least one (N, m) pair")
         if self.replications < 1:
             raise ValidationError("replications must be positive")
+        if self.k0 < 1:
+            raise ValidationError("k0 must be at least 1")
         for est in self.estimators:
             if est not in ("mean", "cov"):
                 raise ValidationError(f"unknown estimator {est!r}")
@@ -199,6 +201,8 @@ def fit(dataset, mean_points, cov_points=None, *, schedule=None,
     RegularitySchedule(m_hat), the bandwidth grids to the estimators'
     defaults.
     """
+    if k0 < 1:
+        raise ValidationError("k0 must be at least 1")
     if schedule is None:
         schedule = RegularitySchedule(m_hat=dataset.m_hat)
     regs, dropped = regularity_at_anchors(
@@ -374,13 +378,40 @@ def _fmt(x):
     return str(x)
 
 
-def _write_rows(path, header, rows, preamble=None):
+def _cells(col):
+    """The cells of one column by _fmt's rules: a bool, integer or float
+    array in one pass over its tolist(), any other sequence cell by
+    cell."""
+    kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
+    if kind == "b":
+        return ["1" if x else "0" for x in col.tolist()]
+    if kind in "iu":
+        return list(map(str, col.tolist()))
+    if kind == "f":
+        cells = list(map(repr, col.tolist()))
+        for i in np.flatnonzero(np.isnan(col)).tolist():
+            cells[i] = ""
+        return cells
+    return list(map(_fmt, col))
+
+
+# rows formatted and written at a time, so a long file never holds every
+# cell's string at once
+_WRITE_BLOCK = 1 << 16
+
+
+def _write_rows(path, header, columns, preamble=None):
+    """A CSV file of equal-length columns (arrays or sequences), its cells
+    written by _fmt's rules."""
+    columns = list(columns)
+    n = len(columns[0]) if columns else 0
     with open(path, "w", encoding="utf-8") as fh:
         if preamble:
             fh.write(preamble + "\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        for a in range(0, n, _WRITE_BLOCK):
+            cells = [_cells(c[a:a + _WRITE_BLOCK]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 REPORT_COLUMNS = ("config_id", "N", "m", "p", "rep", "ise_mean_tilde",
@@ -392,9 +423,9 @@ SUMMARY_COLUMNS = ("config_id", "N", "m", "p", "reps", "metric", "q25",
 
 def write_report_csv(report, path):
     _write_rows(path, REPORT_COLUMNS,
-                ([row[c] for c in REPORT_COLUMNS] for row in report.rows))
+                ([row[c] for row in report.rows] for c in REPORT_COLUMNS))
 
 
 def write_summary_csv(report, path):
     _write_rows(path, SUMMARY_COLUMNS,
-                ([row[c] for c in SUMMARY_COLUMNS] for row in report.summary))
+                ([row[c] for row in report.summary] for c in SUMMARY_COLUMNS))

@@ -6,9 +6,11 @@ z^j / j!. A derivative variant returns the weights whose dot product
 with the curve values estimates the d-th derivative at the target.
 _window_lp_weights fits every curve of a dataset at a batch of (t, h)
 points at once, one call per block of at most _BLOCK_OBS windowed
-observations (_point_blocks). A fit is degenerate with fewer than k0
-times in [t-h, t+h] or a moment matrix whose smallest eigenvalue is at
-most SINGULAR_RTOL times its largest.
+observations (_point_blocks), and _lp_fits turns the weights into each
+curve's estimate, one call per polynomial order of the block's points.
+A fit is degenerate with fewer than k0 times in [t-h, t+h] or a moment
+matrix whose smallest eigenvalue is at most SINGULAR_RTOL times its
+largest.
 """
 
 import math
@@ -212,3 +214,45 @@ def _window_lp_weights(dataset, t, h, order, kernel, k0, deriv=0):
     for j in range(order - 1, -1, -1):
         g = g * z + coef[j][cell]
     return w, cell, z, y, K * g, norm
+
+
+def _lp_fits(dataset, t, h, order, kernel, k0, deriv=0, sums=None):
+    """Every curve's local polynomial estimate of the deriv-th derivative
+    at P points (t, h) whose polynomial order may differ per point: one
+    _window_lp_weights call per distinct order o, with k0 raised to
+    max(k0, o + 1), so each point's results are those of a call at it
+    alone. Returns (w, xhat, extra): w, the non-degenerate flags, and
+    xhat, the estimates (NaN where w is false), of shape (P, N).
+    sums(at, cell, z, r, cells), if given, returns more per-cell sums of
+    the weights of the call on the points at (a slice or an index
+    array); extra holds them as (k, P, N), each divided by the cell's
+    norm as xhat is, and is None without sums.
+    """
+    n = dataset.n_curves
+    if np.ndim(order):
+        order, t, h = (x.ravel() for x in np.broadcast_arrays(order, t, h))
+        levels = np.unique(order).tolist()
+    else:
+        levels = [int(order)]
+    one = len(levels) == 1
+    calls = []
+    for o in levels:
+        # one order takes the whole arrays, without an index or copies
+        at = slice(None) if one else np.flatnonzero(order == o)
+        w, cell, z, y, r, norm = _window_lp_weights(
+            dataset, t if one else t[at], h if one else h[at], o, kernel,
+            max(k0, o + 1), deriv)
+        part = [np.bincount(cell, r * y, minlength=w.size)]
+        if sums is not None:
+            part += sums(at, cell, z, r, w.size)
+        part = np.array(part) / (norm + ~w)  # excluded: 1 added to norm 0
+        calls.append((at, w.reshape(-1, n), part.reshape(len(part), -1, n)))
+    if one:  # one order: its arrays are the result's
+        _, w, out = calls[0]
+    else:
+        w = np.empty((order.size, n), dtype=bool)
+        out = np.empty((len(part), order.size, n))
+        for at, w_o, part in calls:
+            w[at], out[:, at] = w_o, part
+    out[0][~w] = np.nan
+    return w, out[0], out[1:] if sums is not None else None

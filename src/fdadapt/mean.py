@@ -10,8 +10,10 @@ grid from inclusion_stats_over_grid as one record with a leading
 bandwidth axis (at order 0 in one pass per anchor or lattice coordinate)
 and score every grid value with the same array formulas that score a
 single bandwidth. Fits at fixed bandwidths take their (t, h) points in
-blocks, one _points_stats record per block; a block's points may sit at
-different polynomial orders, one batched kernel call per order.
+blocks; a block's points may sit at different polynomial orders, one
+batched kernel call per order (kernels._lp_fits). The mean's evaluation
+points take one _points_stats record per block, which adds the weight
+summaries its risk reads to each curve's flag and fitted value.
 """
 
 import math
@@ -25,9 +27,9 @@ from .kernels import (
     BIWEIGHT,
     EPANECHNIKOV,
     MAX_ORDER,
+    _lp_fits,
     _point_blocks,
     _window_bounds,
-    _window_lp_weights,
     get_kernel,
     kernel_abs_moment,
 )
@@ -49,9 +51,14 @@ class BandwidthGrid:
             raise ValidationError("need 0 < h_min < h_max < 1")
         if self.count < 2:
             raise ValidationError("bandwidth grid needs at least 2 points")
+        hs = np.geomspace(self.h_min, self.h_max, self.count)
+        hs.flags.writeable = False
+        object.__setattr__(self, "_values", hs)
 
     def values(self):
-        return np.geomspace(self.h_min, self.h_max, self.count)
+        """The grid's bandwidths: one read-only array per grid, computed
+        when the grid is made."""
+        return self._values
 
     @staticmethod
     def default_mean(m_hat):
@@ -103,44 +110,32 @@ def _points_stats(dataset, t, h, order, kernel, k0, alpha):
     t, h, order and alpha are scalars or arrays that broadcast to (P,)
     and are kept as given; the other fields have a leading point axis
     unless all four are scalars. Every curve's local polynomial value
-    weights come from one pass over the observations in [t-h, t+h]
-    (kernels._window_lp_weights), one batched call per distinct order o
-    with k0 raised to max(k0, o + 1), and are summed back per curve.
-    Order 0 is Nadaraya-Watson. Each point's statistics are those of a
-    call at it alone.
+    weights come from kernels._lp_fits (one batched call per distinct
+    order o, k0 raised to max(k0, o + 1)), which also gives w and xhat;
+    the weights' summaries are summed back per curve. Order 0 is
+    Nadaraya-Watson. Each point's statistics are those of a call at it
+    alone.
     """
     arrays = np.broadcast_arrays(order, t, h, alpha)
     shape = arrays[0].shape
     orders, ts, hs, alphas = (x.ravel() for x in arrays)
     n = dataset.n_curves
-    levels = np.unique(orders).tolist() if np.ndim(order) else [int(order)]
-    w = np.empty((orders.size, n), dtype=bool)
-    sums = np.empty((4, orders.size, n))  # c1, c_alpha, max_abs_w, xhat
-    for o in levels:
-        # one order takes the whole arrays, without an index or copies
-        at = slice(None) if len(levels) == 1 else np.flatnonzero(orders == o)
-        w_o, cell, z, y, r, sum_r = _window_lp_weights(
-            dataset, ts[at], hs[at], o, kernel, max(k0, o + 1))
-        cells = w_o.size
+
+    def sums(at, cell, z, r, cells):
         # a scalar alpha stays scalar, as in a call at one point
         a = alphas[at][cell // n] if np.ndim(alpha) else alpha
         ar = np.abs(r)
         maxw = np.zeros(cells)
         np.maximum.at(maxw, cell, ar)
-        part = np.array([
-            np.bincount(cell, ar, minlength=cells),
-            np.bincount(cell, ar * np.abs(z) ** a, minlength=cells),
-            maxw,
-            np.bincount(cell, r * y, minlength=cells),
-        ])
-        part /= sum_r + ~w_o  # excluded cells: 1 added to a zero sum
-        if len(levels) == 1:  # one order: its arrays are the record's
-            w, sums = w_o.reshape(-1, n), part.reshape(4, -1, n)
-        else:
-            w[at], sums[:, at] = w_o.reshape(-1, n), part.reshape(4, -1, n)
-    sums[3][~w] = np.nan
+        return [np.bincount(cell, ar, minlength=cells),
+                np.bincount(cell, ar * np.abs(z) ** a, minlength=cells),
+                maxw]
+
+    w, xhat, (c1, c_alpha, maxw) = _lp_fits(
+        dataset, ts, hs, orders if np.ndim(order) else order, kernel, k0,
+        sums=sums)
     return _stats(t, h, order, alpha, *(
-        x.reshape(shape + (n,)) for x in (w, *sums)))
+        x.reshape(shape + (n,)) for x in (w, c1, c_alpha, maxw, xhat)))
 
 
 def _stats(t, h, order, alpha, w, c1, c_alpha, maxw, xhat):
@@ -199,10 +194,11 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
     hs[-1]. With u = T - t and K(z) = sum_j c_j z^(2j), each per-curve
     sum is a combination over j of cumulative per-curve sums of |u|^(2j)
     and |u|^(2j+alpha), taken over the observations whose |u| / h is at
-    most _core_bound(kernel). For the observations nearer the window edge
-    (none for the uniform kernel), K is evaluated directly at each
-    bandwidth that holds them. Window membership, the k0 counts and so w
-    and W_N are exact; the other summaries match _points_stats to
+    most _core_bound(kernel); one stacked matrix product forms those
+    combinations at every bandwidth. For the observations nearer the
+    window edge (none for the uniform kernel), K is evaluated directly at
+    each bandwidth that holds them. Window membership, the k0 counts and
+    so w and W_N are exact; the other summaries match _points_stats to
     rounding.
     """
     hs = np.asarray(hs, dtype=float)
@@ -236,30 +232,35 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
     core = _v_searchsorted(_core_bound(kernel) * hs, d, split)
 
     # B[k]: per curve, the number of observations with entry k and, per j,
-    # the sums of |u|^(2j) and |u|^(2j+alpha) over those with core k.
-    # Adding up its rows, as cumsum does, makes B[k] those at hs[k].
+    # the sums of |u|^(2j) and |u|^(2j+alpha) over those with core k. The
+    # observations past the widest bandwidth (entry or core n_h) fall in
+    # row n_h, which is sliced off. Adding up its rows, as cumsum does,
+    # makes B[k] those at hs[k].
     q = len(kernel.z2_coeffs)
-    B = np.empty((n_h, 1 + 2 * q, n))
-    into, inner = entry < n_h, core < n_h
-    B[:, 0] = _bins(entry[into] * n + cid[into], None, n_h, n)
-    cells, di = core[inner] * n + cid[inner], d[inner]
+    size = (n_h + 1) * n
+    B = np.empty((n_h + 1, 1 + 2 * q, n))
+    B[:, 0] = np.bincount(entry * n + cid, minlength=size).reshape(-1, n)
+    cells = core * n + cid
     da, ha = d ** alpha, hs ** alpha
-    dj, dai = np.ones(di.size), da[inner]  # |u|^(2j), |u|^alpha
+    dj = np.ones(d.size)  # |u|^(2j)
     for j in range(q):
-        B[:, 1 + 2 * j] = _bins(cells, dj, n_h, n)
-        B[:, 2 + 2 * j] = _bins(cells, dj * dai, n_h, n)
-        dj = dj * di * di
+        B[:, 1 + 2 * j] = np.bincount(cells, dj, size).reshape(-1, n)
+        B[:, 2 + 2 * j] = np.bincount(cells, dj * da, size).reshape(-1, n)
+        dj = dj * d * d
+    B = B[:n_h]
     for k in range(1, n_h):
         B[k] += B[k - 1]
     w = B[:, 0] >= k0
     # S, A = SA[:, 0], SA[:, 1]: per-curve sums of K and K |z|^alpha; core
-    # part: over j in order, the sums times c_j / h^(2j), c_j / h^(2j+alpha)
-    SA = np.zeros((n_h, 2, n))
+    # part: F[k] @ B[k] adds the sums times c_j / h^(2j) and
+    # c_j / h^(2j+alpha) at hs[k] (F is zero at the count row)
+    F = np.zeros((n_h, 2, 1 + 2 * q))
     hj = np.ones(n_h)  # h^(2j)
     for j, c in enumerate(kernel.z2_coeffs):
-        SA[:, 0] += B[:, 1 + 2 * j] * (c / hj)[:, None]
-        SA[:, 1] += B[:, 2 + 2 * j] * (c / (hj * ha))[:, None]
+        F[:, 0, 1 + 2 * j] = c / hj
+        F[:, 1, 2 + 2 * j] = c / (hj * ha)
         hj = hj * hs * hs
+    SA = F @ B
     del B
     # edge part: K itself at each (observation, bandwidth) pair with
     # _core_bound(kernel) < |z| <= 1, one bandwidth further into each run
@@ -269,9 +270,9 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
     while edge.size:
         K = kernel(d[edge] / hs[k])
         cells = k * (2 * n) + cid[edge]
-        SA += _bins(np.concatenate((cells, cells + n)),
-                    np.concatenate((K, K * da[edge] / ha[k])), n_h, 2 * n
-                    ).reshape(n_h, 2, n)
+        SA += np.bincount(np.concatenate((cells, cells + n)),
+                          np.concatenate((K, K * da[edge] / ha[k])),
+                          n_h * 2 * n).reshape(n_h, 2, n)
         k += 1
         more = k < core[edge]
         edge, k = edge[more], k[more]
@@ -305,13 +306,6 @@ def _v_searchsorted(grid, d, split):
     # the run before split, read backwards, takes the slots in falling order
     return np.repeat(np.concatenate((slots[::-1], slots)),
                      np.concatenate((counts[0, ::-1], counts[1])))
-
-
-def _bins(cells, weights, n_h, n):
-    """weights summed into the cells k * n + i of a float (n_h, n) array
-    (np.bincount returns int zeros when there are no cells)."""
-    out = np.bincount(cells, weights, minlength=n_h * n).reshape(n_h, n)
-    return out.astype(float, copy=False)
 
 
 def _floor_factorial(alpha):
@@ -450,9 +444,13 @@ def estimate_mean(dataset, grid, reg_per_anchor, noise, kernel=BIWEIGHT,
     """
     if not reg_per_anchor:
         raise ValidationError("need at least one anchor regularity estimate")
+    if k0 < 1:
+        raise ValidationError("k0 must be at least 1")
     kernel = get_kernel(kernel)
     if schedule is None:
         schedule = RegularitySchedule(m_hat=dataset.m_hat)
+    if bandwidths is None:  # one grid, and one geomspace, for every anchor
+        bandwidths = BandwidthGrid.default_mean(dataset.m_hat)
     regs = sorted(reg_per_anchor, key=lambda r: r.anchor_t2)
     anchor_ts = np.array([r.anchor_t2 for r in regs])
     pts = np.asarray(grid, dtype=float)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError, InsufficientDataError, ValidationError
-from .kernels import _point_blocks, _window_lp_weights
+from .kernels import _lp_fits, _point_blocks
 
 H_CLIP_LO = 0.05
 H_CLIP_HI = 1.0
@@ -63,19 +63,16 @@ def presmooth_matrix(dataset, points, h, kernel, d=0):
     Returns an (N, P) array with NaN where a curve's estimate is
     undefined. d=0 is Nadaraya-Watson; d>=1 extracts the d-th
     derivative from an order-(d+1) local polynomial fit. Both take the
-    window [p-h, p+h] of kernels._window_lp_weights; a curve with fewer
-    than order + 1 points in it or a degenerate fit yields NaN.
+    window [p-h, p+h] of kernels._lp_fits; a curve with fewer than
+    order + 1 points in it or a degenerate fit yields NaN.
     """
     pts = np.asarray(points, dtype=float)
     n = dataset.n_curves
     out = np.full((n, pts.size), np.nan)
     order = d + 1 if d else 0
     for b in _point_blocks(dataset, h, pts):
-        w, cell, _, y, r, norm = _window_lp_weights(
-            dataset, pts[b], h, order, kernel, order + 1, deriv=d
-        )
-        vals = np.bincount(cell, r * y, minlength=w.size) / (norm + ~w)
-        out[:, b] = np.where(w, vals, np.nan).reshape(-1, n).T
+        out[:, b] = _lp_fits(dataset, pts[b], h, order, kernel, order + 1,
+                             deriv=d)[1].T
     return out
 
 

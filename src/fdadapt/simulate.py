@@ -42,6 +42,9 @@ class MeanFunction:
     def __post_init__(self):
         object.__setattr__(self, "cos_coefs", tuple(self.cos_coefs))
         object.__setattr__(self, "sin_coefs", tuple(self.sin_coefs))
+        if not np.isfinite([self.beta0, *self.cos_coefs,
+                            *self.sin_coefs]).all():
+            raise ValidationError("mean coefficients must be finite")
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -163,6 +166,8 @@ class NoiseSpec:
     sd_fn: Callable = None
 
     def __post_init__(self):
+        if not math.isfinite(self.sd):
+            raise ValidationError("noise sd must be finite")
         if self.kind == "none":
             return
         if self.kind == "homoscedastic":

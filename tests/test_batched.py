@@ -76,6 +76,28 @@ class TestPointsStats:
                                [getattr(s, name) for s in want])
 
 
+def test_surface_fits_are_the_point_records(rng):
+    """The covariance surface's kernels._lp_fits on a block that mixes
+    orders 0 and 1 gives _points_stats' w and xhat bit for bit, both
+    batched and at each point alone."""
+    ds = batched_dataset(rng)
+    t = np.array([0.305, 0.5, 0.03, 0.97, 0.41, 0.62, 0.2, 0.33])
+    h = np.array([1e-4, 0.004, 0.1, 0.08, 0.15, 0.05, 0.3, 0.06])
+    order = np.array([0, 1, 1, 0, 0, 1, 0, 1])
+    w, xhat, extra = kernels._lp_fits(ds, t, h, order, BIWEIGHT, 2)
+    got = _points_stats(ds, t, h, order, BIWEIGHT, 2, 1.3)
+    alone = [_points_stats(ds, *p, BIWEIGHT, 2, 1.3)
+             for p in zip(t, h, order.tolist())]
+    assert extra is None
+    assert w.any() and not w.all()
+    assert np.isfinite(xhat[w]).all() and np.isnan(xhat[~w]).all()
+    for want_w, want_x in ((got.w, got.xhat),
+                           (np.array([s.w for s in alone]),
+                            np.array([s.xhat for s in alone]))):
+        assert_array_equal(w, want_w)
+        assert_array_equal(xhat.view(np.int64), want_x.view(np.int64))
+
+
 @pytest.mark.parametrize("d", [0, 1, 2])
 def test_presmooth_matrix_equals_per_point_calls(rng, d):
     ds = batched_dataset(rng)

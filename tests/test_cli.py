@@ -199,6 +199,18 @@ class TestMean:
                    "--out", str(tmp_path / "m.csv")])
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["mean", "cov"])
+    @pytest.mark.parametrize("k0", ["0", "-1"])
+    def test_k0_below_one_exit_1(self, data_csv, tmp_path, capsys, command,
+                                 k0):
+        out = tmp_path / "m.csv"
+        rc = main([command, "--data", str(data_csv), "--anchors", "3",
+                   "--k0", k0, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "fdadapt: error: k0 must be at least 1\n")
+        assert not out.exists()
+
 
 class TestCov:
     def test_surface_output(self, data_csv, tmp_path):
@@ -552,6 +564,10 @@ class TestExperiment:
         ["--kernel", "foo"],
         ["--design", "common", "--p-jitter", "0.2"],
         ["--estimators", "mean,cov", "--cov-grid", "1"],
+        ["--k0", "0"],
+        ["--mean-cos", "nan"],
+        ["--mean-beta0", "inf"],
+        ["--noise-sd", "inf"],
     ], ids=lambda flags: " ".join(flags))
     def test_bad_usage_exit_1(self, tmp_path, capsys, flags):
         """Bad usage fails before any replication runs, as for mean and
@@ -564,6 +580,22 @@ class TestExperiment:
         assert main(argv + flags) == 1
         assert capsys.readouterr().err.startswith("fdadapt: error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--mean-cos", "0.5,nan"],
+                                       ["--noise-sd", "nan"]])
+    def test_non_finite_parameter_as_simulate(self, tmp_path, capsys,
+                                              flags):
+        """experiment and simulate reject a non-finite simulation
+        parameter with the same message and exit code."""
+        errs = []
+        for argv in (["simulate", "--n", "5", "--m", "10"],
+                     ["experiment", "--pairs", "20x20",
+                      "--replications", "2"]):
+            assert main(argv + flags + ["--out", str(tmp_path / "x")]) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("fdadapt: error: ")
+        assert "must be finite" in errs[0]
 
     def test_cov_grid_unused_without_cov(self, tmp_path):
         out = tmp_path / "r.csv"

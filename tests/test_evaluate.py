@@ -14,6 +14,8 @@ from fdadapt import (
     ValidationError,
     empirical_cov_tilde,
     empirical_mean_tilde,
+    estimate_covariance,
+    estimate_mean,
     fit,
     ise_1d,
     ise_2d,
@@ -29,6 +31,7 @@ from fdadapt.evaluate import (
     SUMMARY_COLUMNS,
     _fmt,
     _resolve_workers,
+    _WRITE_BLOCK,
     _write_rows,
 )
 
@@ -175,6 +178,11 @@ class TestExperimentConfig:
         # a mean-only study builds no covariance grid
         small_config(cov_grid_n=1)
 
+    @pytest.mark.parametrize("k0", [0, -1])
+    def test_k0_below_one(self, k0):
+        with pytest.raises(ValidationError, match="k0 must be at least 1"):
+            small_config(k0=k0)
+
     def test_config_id(self):
         cfg = small_config(pairs=((15, 40), (30, 80)))
         assert cfg.config_id(0) == "fbm-N15-m40"
@@ -182,6 +190,21 @@ class TestExperimentConfig:
 
 
 class TestFit:
+    @pytest.mark.parametrize("k0", [0, -1])
+    def test_k0_below_one(self, rng, k0):
+        from conftest import random_dataset
+
+        ds = random_dataset(rng, n_curves=20, n_lo=30, n_hi=40)
+        pts = uniform_grid(11)
+        with pytest.raises(ValidationError, match="k0 must be at least 1"):
+            fit(ds, pts, n_anchors=3, k0=k0)
+        ok = fit(ds, pts, pts[::2], n_anchors=3)
+        with pytest.raises(ValidationError, match="k0 must be at least 1"):
+            estimate_mean(ds, pts, ok.regularity, ok.noise, k0=k0)
+        with pytest.raises(ValidationError, match="k0 must be at least 1"):
+            estimate_covariance(ds, pts[::2], ok.regularity, ok.noise,
+                                ok.mean, k0=k0)
+
     def test_stages_match_request(self, rng):
         from conftest import random_dataset
 
@@ -286,11 +309,12 @@ class TestWriteRows:
 
     def test_cell_rules(self, tmp_path):
         out = tmp_path / "rows.csv"
+        # columns, each of mixed kinds, so every cell takes _fmt's rules
         _write_rows(out, ("a", "b", "c", "d"), [
-            (math.nan, np.bool_(True), np.float64(0.1), 3),
-            (np.float64(math.nan), np.bool_(False), np.float64(1.0 / 3.0),
-             np.int64(7)),
-            (2.5, True, False, "x"),
+            (math.nan, np.float64(math.nan), 2.5),
+            (np.bool_(True), np.bool_(False), True),
+            (np.float64(0.1), np.float64(1.0 / 3.0), False),
+            (3, np.int64(7), "x"),
         ], preamble="# d=0.25 c=0.5")
         assert out.read_text().splitlines() == [
             "# d=0.25 c=0.5",
@@ -299,6 +323,33 @@ class TestWriteRows:
             f",0,{float(1.0 / 3.0)!r},7",
             "2.5,1,0,x",
         ]
+
+    def test_columns_match_cell_rules(self, rng, tmp_path):
+        # more rows than one write block; the array columns take the
+        # one-pass path, the list columns _fmt cell by cell
+        n = 2 * _WRITE_BLOCK + 5
+        floats = rng.standard_normal(n)
+        specials = [math.nan, -0.0, math.inf, -math.inf, 1e-17, 0.0, -math.nan]
+        floats[rng.integers(0, n, 2000)] = rng.choice(specials, 2000)
+        floats[[0, _WRITE_BLOCK, n - 1]] = math.nan
+        bools = rng.random(n) < 0.5
+        ints = rng.integers(-10**12, 10**12, n)
+        columns = [floats, bools, ints, bools.tolist(), ints.tolist(),
+                   [f"s{i}" for i in range(n)], floats.astype(np.float32),
+                   [np.int64(i) if i % 3 else bool(i % 2) for i in range(n)]]
+        out = tmp_path / "rows.csv"
+        _write_rows(out, [f"c{j}" for j in range(len(columns))], columns)
+        want = ["c0,c1,c2,c3,c4,c5,c6,c7"] + [
+            ",".join(_fmt(x) for x in row) for row in zip(*columns)]
+        text = out.read_text()
+        got = text.split("\n")
+        assert got.pop() == "" and len(got) == n + 1
+        # the first differing line, not pytest's diff of 131,077 lines
+        bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                   None)
+        assert bad is None, (bad, got[bad], want[bad])
+        assert {"-0.0", "inf", "-inf", "1e-17", "1", "0", ""} <= set(
+            text.replace("\n", ",").split(","))
 
     def test_no_preamble(self, tmp_path):
         out = tmp_path / "rows.csv"

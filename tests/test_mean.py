@@ -418,6 +418,55 @@ class TestInclusionStatsOverGrid:
         assert np.isfinite(grid.N_mu).all() and np.isfinite(grid.C_bar1).all()
         assert grid.W_N[-1] == 5
 
+    @pytest.mark.parametrize("kernel", [UNIFORM, EPANECHNIKOV, BIWEIGHT])
+    def test_observations_past_the_widest_bandwidth(self, rng, kernel):
+        # dyadic t and bandwidths; points a hair past hs[-1] lie in the
+        # padded slice of the widest window but in no window, so the
+        # sweep bins them in its overflow row
+        t, hs = 0.5, np.arange(1, 17) / 64.0
+        past = hs[-1] * (1 + 2.0**-40)
+        times = [t + np.array([-past, -0.1, 0.02, hs[-1]]),
+                 t + np.array([-past, past]),
+                 t + np.array([-hs[-1], 0.05, past])]
+        curves = [CurveObservations(i, ts, rng.standard_normal(ts.size))
+                  for i, ts in enumerate(times)]
+        ds = lifted(curves + jittered_curves(rng, 4, 30, 60, len(curves)))
+        grid = self.check(ds, t, hs, 0, kernel, 2, 1.4)
+        assert not grid.w[:, 1].any()
+        assert grid.w[-1, 0] and grid.w[-1, 2]
+
+    @pytest.mark.parametrize("kernel", [UNIFORM, EPANECHNIKOV, BIWEIGHT])
+    def test_curve_below_k0_in_every_window(self, rng, kernel):
+        # k0 = 4: curve 0 holds three observations near t and the rest
+        # beyond the widest window, curve 1 only two in all
+        t = 0.4
+        few = np.concatenate((t + np.array([-0.02, 0.01, 0.03]),
+                              np.linspace(0.85, 0.98, 10)))
+        curves = [CurveObservations(i, ts, rng.standard_normal(ts.size))
+                  for i, ts in enumerate((few, t + np.array([-0.1, 0.2])))]
+        ds = lifted(curves + jittered_curves(rng, 5, 30, 60, len(curves)))
+        hs = BandwidthGrid(0.01, 0.3, 61).values()
+        grid = self.check(ds, t, hs, 0, kernel, 4, 1.2)
+        assert not grid.w[:, :2].any()
+        assert grid.W_N[-1] == 5
+
+    @pytest.mark.parametrize("kernel", [UNIFORM, EPANECHNIKOV, BIWEIGHT])
+    def test_empty_narrow_windows(self, rng, kernel):
+        # no curve observes (0.44, 0.56): the windows at t = 0.5 narrower
+        # than 0.06 hold nothing, the wider ones hold every curve
+        curves = []
+        for i in range(5):
+            ts = np.sort(np.concatenate((rng.uniform(0.02, 0.44, 20),
+                                         rng.uniform(0.56, 0.98, 20))))
+            curves.append(CurveObservations(i, ts,
+                                            rng.standard_normal(ts.size)))
+        ds = make_dataset(curves)
+        hs = BandwidthGrid(0.005, 0.3, 81).values()
+        grid = self.check(ds, 0.5, hs, 0, kernel, 2, 0.9)
+        assert (grid.W_N[hs < 0.06] == 0).all()
+        assert (grid.c_alpha[hs < 0.06] == 0.0).all()
+        assert grid.W_N[-1] == 5
+
     def test_fine_grid(self, rng):
         ds = lifted(jittered_curves(rng, 6, 50, 90))
         self.check(ds, 0.52, BandwidthGrid(0.004, 0.45, 1501).values(), 0,

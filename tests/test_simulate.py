@@ -87,6 +87,22 @@ class TestMeanFunction:
         assert MeanFunction(beta0=0.0).is_zero
         assert not MeanFunction(beta0=1.0).is_zero
 
+    @pytest.mark.parametrize("kw", [
+        dict(beta0=np.nan), dict(beta0=np.inf), dict(cos_coefs=(1.0, np.nan)),
+        dict(sin_coefs=(-np.inf,))], ids=str)
+    def test_rejects_non_finite(self, kw):
+        with pytest.raises(ValidationError, match="must be finite"):
+            MeanFunction(**kw)
+
+
+class TestNoiseSpec:
+    @pytest.mark.parametrize("kind", ["none", "homoscedastic",
+                                      "time_varying"])
+    @pytest.mark.parametrize("sd", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_sd(self, kind, sd):
+        with pytest.raises(ValidationError, match="noise sd must be finite"):
+            NoiseSpec(kind=kind, sd=sd, sd_fn=lambda t: t)
+
 
 class TestDesignSpec:
     def test_common_rejects_jitter(self):
