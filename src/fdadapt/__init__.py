@@ -55,7 +55,6 @@ from .mean import (
 )
 from .covariance import (
     CovarianceSurface,
-    PairInclusionStats,
     band_exponent,
     covariance_risk_terms,
     diagonal_band_width,

@@ -3,7 +3,10 @@
 Pointwise products of smoothed curves estimate the raw second moment;
 the bandwidth is selected by a penalized risk summed over the two
 coordinate directions, with bandwidths large enough to make the two
-smoothing windows overlap declared inadmissible. A band around the
+smoothing windows overlap declared inadmissible. Each direction's risk
+is the mean's (mean.mean_risk_terms) at one end of the pair, over the
+curves included at both, with its bias constant and noise variance
+scaled by the other end's second moment. A band around the
 diagonal, whose width shrinks with the sampling density at a rate
 governed by the estimated regularity, is filled by extending the value
 from the band boundary. The risk is minimized on a coarse lattice of
@@ -18,7 +21,6 @@ and smoothed value there and nothing else the surface does not read.
 """
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 import scipy  # subpackages load on first use; perfbench reads its version
@@ -34,9 +36,10 @@ from .kernels import (
 from .mean import (
     INFINITE_RISK,
     BandwidthGrid,
-    _floor_factorial,
+    _effective_size,
     _nearest_regularity,
     inclusion_stats_over_grid,
+    mean_risk_terms,
     plugin_variance,
 )
 from .regularity import RegularitySchedule, presmooth_matrix
@@ -44,64 +47,31 @@ from .regularity import RegularitySchedule, presmooth_matrix
 LATTICE_SIZE = 10
 
 
-@dataclass(frozen=True)
-class PairInclusionStats:
-    """Joint inclusion summaries of coordinate pairs (s, t), the input of
-    covariance_risk_terms; the lattice's record of its P pairs has s and
-    t of shape (P, 1) and (P, n_h) bandwidth fields.
-
-    A curve enters a pair only when its fit is non-degenerate at both
-    coordinates. The directional fields with suffix ts describe smoothing
-    at t conditioned on inclusion at s, and st the reverse.
-    """
-
-    s: float | np.ndarray
-    t: float | np.ndarray
-    h: float | np.ndarray
-    W_pair: int | np.ndarray
-    N_gamma_ts: float | np.ndarray
-    N_gamma_st: float | np.ndarray
-    C_bar1_ts: float | np.ndarray
-    C_bar1_st: float | np.ndarray
-
-
-def _direction(W_pair, denom, cross):
-    """N_gamma and C_bar1 from the sums of c1 max_abs_w and c1 c_alpha."""
-    n_gamma = np.divide(W_pair * W_pair, denom, out=np.zeros(denom.shape),
-                        where=denom > 0.0)
-    return n_gamma[()], (cross / np.maximum(W_pair, 1))[()]
-
-
 def bandwidth_admissible(s, t, h):
     """Windows of half-width h at s and t must not overlap."""
     return 2.0 * h < abs(t - s)
 
 
-def covariance_risk_terms(pair_stats, reg_s, reg_t, noise, m2_s, m2_t,
-                          var_XsXt, N):
-    """Bias, variance and dropout terms summed over both directions, as
-    arrays on a grid record (with which reg_*, m2_* and var_XsXt may
-    broadcast); infinite where no curve pair is included or the
-    bandwidth is inadmissible."""
-    ps = pair_stats
+def covariance_risk_terms(s, t, h, W_pair, N_gamma, C_bar1, alpha, L2, m2,
+                          sigma2, var_XsXt, N):
+    """Bias, variance and dropout terms of coordinate pairs (s, t) at
+    bandwidth h, summed over the two directions, as arrays over whatever
+    shape the arguments broadcast to; infinite where no curve pair is
+    included or the bandwidth is inadmissible.
 
-    def one_direction(reg_b, m2_a, c_bar, n_gamma):
-        fact = _floor_factorial(reg_b.alpha_hat)
-        q1_sq = 2.0 * m2_a * c_bar * reg_b.L2_hat / (fact * fact)
-        bias = q1_sq * ps.h ** (2.0 * reg_b.alpha_hat)
-        q2_sq = noise.sigma2_max * m2_a
-        var = np.where(n_gamma > 0.0, q2_sq / n_gamma, INFINITE_RISK)
-        return bias, var
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bias_ts, var_ts = one_direction(reg_t, m2_s, ps.C_bar1_ts,
-                                        ps.N_gamma_ts)
-        bias_st, var_st = one_direction(reg_s, m2_t, ps.C_bar1_st,
-                                        ps.N_gamma_st)
-        dropout = var_XsXt * (1.0 / ps.W_pair - 1.0 / N)
-    void = ~((ps.W_pair > 0) & bandwidth_admissible(ps.s, ps.t, ps.h))
-    return tuple(np.where(void, INFINITE_RISK, x)[()]
-                 for x in (bias_ts + bias_st, var_ts + var_st, dropout))
+    W_pair counts the curves included at both ends. N_gamma, C_bar1,
+    alpha, L2 and m2 each hold the value at s, then at t: the effective
+    size and C_bar1 of smoothing at that end over those curves, its
+    regularity and its second moment. Each direction is mean_risk_terms
+    at one end, with C_bar1 and sigma2 scaled by the other end's m2.
+    """
+    (b_s, v_s, dropout), (b_t, v_t, _) = (
+        mean_risk_terms(h, W_pair, N_gamma[a], 2.0 * m2[b] * C_bar1[a],
+                        alpha[a], L2[a], sigma2 * m2[b], var_XsXt, N)
+        for a, b in ((0, 1), (1, 0)))
+    ok = bandwidth_admissible(s, t, h)
+    return tuple(np.where(ok, x, INFINITE_RISK)[()]
+                 for x in (b_s + b_t, v_s + v_t, dropout))
 
 
 def _lattice_h_star(records, alpha, L2, noise, m2, var_pairs, N):
@@ -121,18 +91,19 @@ def _lattice_h_star(records, alpha, L2, noise, m2, var_pairs, N):
     # the product at b
     W, denom, cross = (M[0] @ x.transpose(0, 2, 1) for x in M)
     W_pair = W[:, k, l].T
-    n_ts, cb_ts = _direction(W_pair, denom[:, k, l].T, cross[:, k, l].T)
-    n_st, cb_st = _direction(W_pair, denom[:, l, k].T, cross[:, l, k].T)
+    ends = np.array((k, l))  # [end, pair]: the record at s, at t
+    # [end, pair, h]: each end's sums over the curves included at both
+    N_gamma, C_bar1 = _effective_size(W_pair, *(
+        x[:, ends[::-1], ends].transpose(1, 2, 0) for x in (denom, cross)))
     x = np.array([r.t for r in records])
-    ps = PairInclusionStats(x[k, None], x[l, None], records[0].h, W_pair,
-                            n_ts, n_st, cb_ts, cb_st)
+    hs = records[0].h
     total = sum(covariance_risk_terms(
-        ps, *(SimpleNamespace(alpha_hat=alpha[i, None], L2_hat=L2[i, None])
-              for i in (k, l)),
-        noise, m2[k, None], m2[l, None], np.asarray(var_pairs)[:, None], N))
+        x[k, None], x[l, None], hs, W_pair, N_gamma, C_bar1,
+        alpha[ends, None], L2[ends, None], m2[ends, None], noise.sigma2_max,
+        np.asarray(var_pairs)[:, None], N))
     H = np.full((len(records),) * 2, np.nan)
     ok = np.isfinite(total).any(axis=1)
-    H[k[ok], l[ok]] = H[l[ok], k[ok]] = ps.h[np.argmin(total[ok], axis=1)]
+    H[k[ok], l[ok]] = H[l[ok], k[ok]] = hs[np.argmin(total[ok], axis=1)]
     return H
 
 

@@ -157,6 +157,8 @@ class ExperimentConfig:
         for N, m in self.pairs:
             if N < 2:
                 raise ValidationError("n_curves must be at least 2")
+            if m < 3:  # every fit needs m_hat >= 3
+                raise ValidationError("m must be at least 3")
             DesignSpec(kind=self.design_kind, m_mean=m,
                        p_jitter=self.p_jitter)
         uniform_grid(self.grid_n)
@@ -242,6 +244,7 @@ def _run_one(payload):
         "failed": False,
         "error": "",
     }
+    sampled = None
     try:
         design = DesignSpec(kind=config.design_kind, m_mean=m,
                             p_jitter=config.p_jitter)
@@ -276,6 +279,10 @@ def _run_one(payload):
                                           cov_pts)
             row["ise_cov_true"] = ise_2d(cov_vals, cov_true, cov_pts)
     except FdadaptError as exc:
+        # sample_dataset's ValidationError (drawn values that overflow) is
+        # bad usage, as in simulate, not a failed replication
+        if sampled is None and isinstance(exc, ValidationError):
+            raise
         row["failed"] = True
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row

@@ -18,7 +18,6 @@ summaries its risk reads to each curve's flag and fitted value.
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -144,12 +143,9 @@ def _stats(t, h, order, alpha, w, c1, c_alpha, maxw, xhat):
     None."""
     W_N = np.count_nonzero(w, axis=-1)
     # stacked dot products; each row equals its own c1 @ maxw bit for bit
-    denom = (c1[..., None, :] @ maxw[..., :, None])[..., 0, 0]
-    cross = (c1[..., None, :] @ c_alpha[..., :, None])[..., 0, 0]
-    # both are zero where no curve is included
-    N_mu = np.divide(W_N * W_N, denom, out=np.zeros(denom.shape),
-                     where=denom > 0.0)
-    C_bar1 = cross / np.maximum(W_N, 1)
+    N_mu, C_bar1 = _effective_size(
+        W_N, *((c1[..., None, :] @ x[..., :, None])[..., 0, 0]
+               for x in (maxw, c_alpha)))
     return InclusionStats(
         t=t if np.ndim(t) else float(t),
         h=h,
@@ -160,10 +156,19 @@ def _stats(t, h, order, alpha, w, c1, c_alpha, maxw, xhat):
         c1=c1,
         c_alpha=c_alpha,
         max_abs_w=maxw,
-        N_mu=N_mu[()],
-        C_bar1=C_bar1[()],
+        N_mu=N_mu,
+        C_bar1=C_bar1,
         xhat=xhat,
     )
+
+
+def _effective_size(W, denom, cross):
+    """The effective size W^2 / denom and C_bar1 = cross / max(W, 1) of W
+    included curves, from the sums over them of c1 max|w| (denom) and of
+    c1 c_alpha (cross); both are zero where no curve is included."""
+    n_eff = np.divide(W * W, denom, out=np.zeros(denom.shape),
+                      where=denom > 0.0)
+    return n_eff[()], (cross / np.maximum(W, 1))[()]
 
 
 # Each kernel is K(z) = c_0 (1 - z^2)^p, and its expanded polynomial in
@@ -325,18 +330,17 @@ def _nearest_regularity(regs, x):
     return alpha, L2, np.minimum(np.floor(alpha), MAX_ORDER).astype(int)
 
 
-def mean_risk_terms(stats, reg, noise, var_X_t, N, c_bar1=None):
-    """The three risk terms (bias, variance, dropout) at stats' (t, h),
-    as arrays on a grid or point record (reg's alpha_hat and L2_hat and
-    var_X_t then per point); infinite where no curve is included."""
-    fact = _floor_factorial(reg.alpha_hat)
-    cb = stats.C_bar1 if c_bar1 is None else c_bar1
-    q1_sq = cb * reg.L2_hat / (fact * fact)
-    bias = q1_sq * stats.h ** (2.0 * reg.alpha_hat)
+def mean_risk_terms(h, W, n_eff, c_bar1, alpha, L2, sigma2, var_X, N):
+    """The three risk terms (bias, variance, dropout) of W included curves
+    of effective size n_eff at bandwidth h, over the shape the arguments
+    broadcast to; infinite where W is 0. alpha and L2 are the regularity,
+    sigma2 the noise variance, var_X the variance of the dropout term."""
+    fact = _floor_factorial(alpha)
+    bias = c_bar1 * L2 / (fact * fact) * h ** (2.0 * alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
-        var = noise.sigma2_max / stats.N_mu
-        dropout = var_X_t * (1.0 / stats.W_N - 1.0 / N)
-    return tuple(np.where(stats.W_N == 0, INFINITE_RISK, x)[()]
+        var = sigma2 / n_eff
+        dropout = var_X * (1.0 / W - 1.0 / N)
+    return tuple(np.where(W == 0, INFINITE_RISK, x)[()]
                  for x in (bias, var, dropout))
 
 
@@ -379,8 +383,9 @@ def select_mean_bandwidth(dataset, t, reg, noise, var_X_t, kernel, k0,
 
     grid = inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0,
                                      alpha_exp)
-    tb, tv, td = mean_risk_terms(grid, reg, noise, var_X_t, dataset.n_curves,
-                                 c_bar1=cb)
+    tb, tv, td = mean_risk_terms(
+        hs, grid.W_N, grid.N_mu, grid.C_bar1 if cb is None else cb,
+        reg.alpha_hat, reg.L2_hat, noise.sigma2_max, var_X_t, dataset.n_curves)
     total = tb + tv + td
     if not np.any(np.isfinite(total)):
         raise InsufficientDataError(
@@ -492,8 +497,9 @@ def estimate_mean(dataset, grid, reg_per_anchor, noise, kernel=BIWEIGHT,
             values[i] = (np.where(stats.w, stats.xhat, 0.0).sum(axis=-1)
                          / stats.W_N)
         risk[:, i] = mean_risk_terms(
-            stats, SimpleNamespace(alpha_hat=alpha[i], L2_hat=L2[i]),
-            noise, var_grid[i], N, c_bar1=None if cb is None else cb[i])
+            stats.h, stats.W_N, stats.N_mu,
+            stats.C_bar1 if cb is None else cb[i], alpha[i], L2[i],
+            noise.sigma2_max, var_grid[i], N)
     risk[:, W_out == 0] = np.nan
 
     return MeanEstimate(

@@ -79,9 +79,10 @@ def presmooth_matrix(dataset, points, h, kernel, d=0):
 def estimate_H(theta_13, theta_12):
     """Exponent from the ratio of outer to inner mean squared increments,
     clipped to [0.05, 1.0]."""
-    if not (theta_13 > 0.0 and theta_12 > 0.0):
+    if not (0.0 < theta_13 < math.inf and 0.0 < theta_12 < math.inf):
         raise EstimationError(
-            "degenerate increments: mean squared increments must be positive"
+            "degenerate increments: mean squared increments must be positive "
+            "and finite"
         )
     raw = (math.log(theta_13) - math.log(theta_12)) / (2.0 * math.log(2.0))
     return min(max(raw, H_CLIP_LO), H_CLIP_HI)

@@ -6,12 +6,13 @@ import pytest
 from fdadapt import (
     CurveObservations,
     NoiseEstimate,
-    PairInclusionStats,
     RegularityEstimate,
     ValidationError,
+    covariance_risk_terms,
     make_dataset,
+    mean_risk_terms,
 )
-from fdadapt.covariance import _direction
+from fdadapt.mean import _effective_size
 
 
 def random_curve(rng, curve_id, n_lo=5, n_hi=30):
@@ -82,13 +83,44 @@ def noise_stub(sigma2, n_grid=3):
     )
 
 
-@dataclass(frozen=True)
-class PairStats(PairInclusionStats):
-    """A pair record that also keeps the joint inclusion flags and the
-    mean product of the two ends' fitted values."""
+def mean_risk(stats, reg, noise, var_X, N, c_bar1=None):
+    """mean_risk_terms of an inclusion record, with reg's regularity and
+    noise's sigma2_max; c_bar1 replaces the record's C_bar1."""
+    return mean_risk_terms(
+        stats.h, stats.W_N, stats.N_mu,
+        stats.C_bar1 if c_bar1 is None else c_bar1, reg.alpha_hat,
+        reg.L2_hat, noise.sigma2_max, var_X, N)
 
+
+@dataclass(frozen=True)
+class PairStats:
+    """Joint inclusion summaries of coordinate pairs (s, t), at one h or
+    over a grid. A curve enters a pair only when its fit is
+    non-degenerate at both coordinates. The fields with suffix ts
+    describe smoothing at t over the included curves, and st smoothing
+    at s. w_pair keeps the joint inclusion flags and gamma_hat the mean
+    product of the two ends' fitted values."""
+
+    s: float
+    t: float
+    h: float | np.ndarray
+    W_pair: int | np.ndarray
+    N_gamma_ts: float | np.ndarray
+    N_gamma_st: float | np.ndarray
+    C_bar1_ts: float | np.ndarray
+    C_bar1_st: float | np.ndarray
     w_pair: np.ndarray
     gamma_hat: float | np.ndarray | None
+
+
+def cov_risk(ps, reg_s, reg_t, noise, m2_s, m2_t, var_XsXt, N):
+    """covariance_risk_terms of a PairStats, with the two ends'
+    regularity estimates and noise's sigma2_max."""
+    return covariance_risk_terms(
+        ps.s, ps.t, ps.h, ps.W_pair, (ps.N_gamma_st, ps.N_gamma_ts),
+        (ps.C_bar1_st, ps.C_bar1_ts), (reg_s.alpha_hat, reg_t.alpha_hat),
+        (reg_s.L2_hat, reg_t.L2_hat), (m2_s, m2_t), noise.sigma2_max,
+        var_XsXt, N)
 
 
 def combine_pair_stats(stats_s, stats_t):
@@ -106,8 +138,9 @@ def combine_pair_stats(stats_s, stats_t):
         return np.where(w_pair, x, 0.0).sum(axis=-1)
 
     def direction(stats):
-        return _direction(W_pair, included_sum(stats.c1 * stats.max_abs_w),
-                          included_sum(stats.c1 * stats.c_alpha))
+        return _effective_size(W_pair,
+                               included_sum(stats.c1 * stats.max_abs_w),
+                               included_sum(stats.c1 * stats.c_alpha))
 
     n_ts, cb_ts = direction(stats_t)
     n_st, cb_st = direction(stats_s)

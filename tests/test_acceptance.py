@@ -9,7 +9,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import combine_pair_stats, noise_stub, reg_stub
+from conftest import (
+    combine_pair_stats,
+    cov_risk,
+    mean_risk,
+    noise_stub,
+    reg_stub,
+)
 from numpy.testing import assert_allclose, assert_array_equal
 
 from fdadapt import (
@@ -20,14 +26,12 @@ from fdadapt import (
     NoiseSpec,
     ProcessSpec,
     RegularitySchedule,
-    covariance_risk_terms,
     diagonal_fill_error,
     estimate_noise,
     estimate_regularity,
     fit,
     kernel_abs_moment,
     make_dataset,
-    mean_risk_terms,
     run_experiment,
     sample_dataset,
     select_mean_bandwidth,
@@ -342,8 +346,7 @@ class TestCriterion10RiskOracle:
             h = float(rng.uniform(0.2, 0.35))
             stats = _points_stats(ds, t, h, order, BIWEIGHT, k0, 2.0 * alpha)
             reg = reg_stub(t, alpha, L2=L2)
-            got = sum(mean_risk_terms(stats, reg, noise_stub(sigma2), var_t,
-                                      5))
+            got = sum(mean_risk(stats, reg, noise_stub(sigma2), var_t, 5))
             inc, c1, ca, mw = brute_curve_summaries(ds, t, h, order,
                                                     2.0 * alpha, k0)
             want = brute_mean_risk(inc, c1, ca, mw, h, alpha, L2, sigma2,
@@ -364,9 +367,8 @@ class TestCriterion10RiskOracle:
             m2_s = float(rng.uniform(0.5, 2.0))
             m2_t = float(rng.uniform(0.5, 2.0))
             var_p = float(rng.uniform(0.1, 2.0))
-            got2 = sum(covariance_risk_terms(ps, reg_s, reg_t,
-                                             noise_stub(sigma2), m2_s, m2_t,
-                                             var_p, 5))
+            got2 = sum(cov_risk(ps, reg_s, reg_t, noise_stub(sigma2), m2_s,
+                                m2_t, var_p, 5))
             inc_s, c1_s, ca_s, mw_s = brute_curve_summaries(
                 ds, s2, h2, 0, 2.0 * alpha_s, k0
             )

@@ -11,7 +11,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import assert_same_risk, jittered_curves, noise_stub, reg_stub
+from conftest import (
+    assert_same_risk,
+    jittered_curves,
+    mean_risk,
+    noise_stub,
+    reg_stub,
+)
 from numpy.testing import assert_array_equal
 
 from fdadapt import (
@@ -23,7 +29,6 @@ from fdadapt import (
     estimate_mean,
     kernel_abs_moment,
     make_dataset,
-    mean_risk_terms,
     presmooth_matrix,
 )
 from fdadapt import kernels
@@ -143,9 +148,8 @@ def test_estimate_mean_points_are_single_point_fits(rng, approx):
             assert est.values[j] == (
                 np.where(stats.w, stats.xhat, 0.0).sum() / stats.W_N)
             cb = kernel_abs_moment(BIWEIGHT, 2.0 * reg.alpha_hat)
-            want = mean_risk_terms(stats, reg, noise,
-                                   plugin_variance(P[:, j]), ds.n_curves,
-                                   c_bar1=cb if approx else None)
+            want = mean_risk(stats, reg, noise, plugin_variance(P[:, j]),
+                             ds.n_curves, c_bar1=cb if approx else None)
             assert_same_risk([est.risk_bias[j], est.risk_var[j],
                               est.risk_dropout[j]], want)
 

@@ -342,6 +342,23 @@ class TestAnchorFailurePolicy:
         if command == "regularity":
             assert len(out.read_text().splitlines()) == 1 + 19
 
+    @pytest.mark.parametrize("command", ["regularity", "mean"])
+    def test_overflowing_increments_exit_2(self, tmp_path, capsys, command):
+        """Squared increments that overflow to inf drop every anchor: an
+        estimation error, not a traceback or rows of empty cells."""
+        data = tmp_path / "big.csv"
+        assert main(["simulate", "--process", "fbm", "--n", "20", "--m", "30",
+                     "--seed", "1", "--mean-beta0", "1e200", "--noise-sd",
+                     "0", "--out", str(data)]) == 0
+        out = tmp_path / "out.csv"
+        rc = main([command, "--data", str(data), "--anchors", "5",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.splitlines()[-1].startswith("fdadapt: estimation failed: ")
+        assert "must be positive and finite" in err
+        assert not out.exists()
+
     def test_mean_matches_library_fit(self, fou_csv, tmp_path):
         out = tmp_path / "mean.csv"
         assert main(["mean", "--data", str(fou_csv), "--anchors", "20",
@@ -568,6 +585,8 @@ class TestExperiment:
         ["--mean-cos", "nan"],
         ["--mean-beta0", "inf"],
         ["--noise-sd", "inf"],
+        ["--noise-sd", "1e308"],
+        ["--pairs", "20x2"],
     ], ids=lambda flags: " ".join(flags))
     def test_bad_usage_exit_1(self, tmp_path, capsys, flags):
         """Bad usage fails before any replication runs, as for mean and

@@ -6,6 +6,7 @@ from conftest import (
     assert_same_risk,
     combine_pair_stats,
     constant_dataset,
+    cov_risk,
     jittered_curves,
     noise_stub,
     random_dataset,
@@ -165,7 +166,7 @@ class TestCovarianceRisk:
         ps = pair_stats(ds, s, t, h, 0, 0, 2, 0.5, 0.7)
         assert ps.W_pair > 0
         m2_s, m2_t, var_p = 1.5, 2.0, 0.8
-        b, v, d = covariance_risk_terms(
+        b, v, d = cov_risk(
             ps, reg_s, reg_t, noise, m2_s, m2_t, var_p, ds.n_curves
         )
         want_b = (2.0 * m2_s * ps.C_bar1_ts * 0.9 * h**1.4
@@ -176,15 +177,15 @@ class TestCovarianceRisk:
         assert_allclose(v, want_v, rtol=1e-12)
         assert_allclose(d, want_d, rtol=1e-12)
         assert_allclose(
-            sum(covariance_risk_terms(ps, reg_s, reg_t, noise, m2_s, m2_t,
-                                      var_p, ds.n_curves)),
+            sum(cov_risk(ps, reg_s, reg_t, noise, m2_s, m2_t, var_p,
+                         ds.n_curves)),
             b + v + d,
         )
 
     def test_overlapping_windows_are_infinite(self, rng):
         ds = random_dataset(rng, n_curves=6, n_lo=15, n_hi=25)
         ps = pair_stats(ds, 0.45, 0.55, 0.2, 0, 0, 2, 0.5, 0.5)
-        r = sum(covariance_risk_terms(
+        r = sum(cov_risk(
             ps, reg_stub(0.45, 0.5), reg_stub(0.55, 0.5), noise_stub(0.01),
             1.0, 1.0, 1.0, ds.n_curves))
         assert r == math.inf
@@ -195,10 +196,31 @@ class TestCovarianceRisk:
             [CurveObservations(i, times, np.ones(3)) for i in range(2)]
         )
         ps = pair_stats(ds, 0.15, 0.8, 0.03, 0, 0, 2, 0.5, 0.5)
-        r = sum(covariance_risk_terms(
+        r = sum(cov_risk(
             ps, reg_stub(0.15, 0.5), reg_stub(0.8, 0.5), noise_stub(0.01),
             1.0, 1.0, 1.0, 2))
         assert r == math.inf
+
+    def test_noiseless_empty_pair_is_infinite_not_nan(self, rng):
+        # sigma2 = 0 over an effective size of 0 is 0/0, and var_XsXt = 0
+        # times 1/W_pair is 0 * inf: every term must still read +inf
+        ds = random_dataset(rng, n_curves=6, n_lo=6, n_hi=10)
+        hs = BandwidthGrid(0.002, 0.19, count=41).values()
+        s, t = 0.3, 0.7
+        ps = combine_pair_stats(*(
+            inclusion_stats_over_grid(ds, x, hs, 0, BIWEIGHT, 2, a)
+            for x, a in ((s, 1.0), (t, 1.4))))
+        empty = ps.W_pair == 0
+        assert empty.any() and not empty.all()
+        assert bandwidth_admissible(s, t, hs).all()
+        for var in (0.0, 1.0):
+            with np.errstate(all="raise"):
+                terms = np.array(covariance_risk_terms(
+                    s, t, hs, ps.W_pair, (ps.N_gamma_st, ps.N_gamma_ts),
+                    (ps.C_bar1_st, ps.C_bar1_ts), (0.5, 0.7), (1.2, 0.9),
+                    (1.3, 0.9), 0.0, var, ds.n_curves))
+            assert (terms[:, empty] == math.inf).all()
+            assert np.isfinite(terms[:, ~empty]).all()
 
 
 class TestDiagonalBand:
@@ -247,7 +269,7 @@ class TestSelectCovBandwidth:
         h_star = _lattice_h_star(records, *regularity_arrays(regs), noise,
                                  m2, [var], N)[0, 1]
         ps = combine_pair_stats(*records)
-        total = sum(covariance_risk_terms(ps, *regs, noise, *m2, var, N))
+        total = sum(cov_risk(ps, *regs, noise, *m2, var, N))
         (idx,) = np.flatnonzero(ps.h == h_star)
         assert bandwidth_admissible(s, t, h_star)
         assert ps.W_pair[idx] > 0
@@ -305,7 +327,7 @@ class TestLatticeBandwidths:
             assert_array_equal(H, H.T)
             for p, (k, l) in enumerate(pairs):
                 ps = combine_pair_stats(records[k], records[l])
-                total = sum(covariance_risk_terms(
+                total = sum(cov_risk(
                     ps, regs[k], regs[l], noise, m2[k], m2[l], var[p], N))
                 if not np.isfinite(total).any():
                     assert np.isnan(H[k, l])
@@ -330,7 +352,7 @@ class TestCovRiskOverGrid:
         args = (reg_s, reg_t, noise, *m2, var, ds.n_curves)
         records = grid_records(ds, s, t, reg_s, reg_t, self.kernel, k0)
         ps = combine_pair_stats(*records)
-        terms = covariance_risk_terms(ps, *args)
+        terms = cov_risk(ps, *args)
         order_s = min(int(math.floor(reg_s.alpha_hat)), MAX_ORDER)
         order_t = min(int(math.floor(reg_t.alpha_hat)), MAX_ORDER)
         want, W = [], []
@@ -342,10 +364,10 @@ class TestCovRiskOverGrid:
                               max(k0, order_t + 1), 2.0 * reg_t.alpha_hat),
             )
             W.append(ps_h.W_pair)
-            want.append(covariance_risk_terms(ps_h, *args))
+            want.append(cov_risk(ps_h, *args))
             if ps_h.W_pair == 0 or not bandwidth_admissible(s, t, h):
                 assert want[-1] == (math.inf,) * 3
-                assert sum(covariance_risk_terms(ps_h, *args)) == math.inf
+                assert sum(cov_risk(ps_h, *args)) == math.inf
         want = np.array(want)
         for k, got in enumerate(terms):
             assert_same_risk(got, want[:, k])

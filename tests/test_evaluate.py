@@ -183,6 +183,12 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError, match="k0 must be at least 1"):
             small_config(k0=k0)
 
+    def test_m_below_three(self):
+        # every fit needs m_hat >= 3; m = 2 is a valid design, not a study
+        with pytest.raises(ValidationError, match="m must be at least 3"):
+            small_config(pairs=((15, 40), (15, 2)))
+        small_config(pairs=((15, 3),))
+
     def test_config_id(self):
         cfg = small_config(pairs=((15, 40), (30, 80)))
         assert cfg.config_id(0) == "fbm-N15-m40"
@@ -281,7 +287,8 @@ class TestRunExperiment:
             assert_allclose(e["rate_slope"], want, rtol=1e-12)
 
     def test_undersampled_design_aborts(self):
-        cfg = small_config(pairs=((10, 2),), replications=2)
+        # m = 3, the smallest the config accepts (test_m_below_three)
+        cfg = small_config(pairs=((10, 3),), replications=2)
         with pytest.raises(ExperimentError):
             run_experiment(cfg)
 

@@ -7,6 +7,7 @@ from conftest import (
     assert_same_risk,
     constant_dataset,
     jittered_curves,
+    mean_risk,
     noise_stub,
     random_dataset,
     reg_stub,
@@ -498,14 +499,14 @@ class TestMeanRisk:
                               2 * reg.alpha_hat)
         assert stats.W_N > 0
         var_X_t = 1.3
-        b, v, d = mean_risk_terms(stats, reg, noise, var_X_t, ds.n_curves)
+        b, v, d = mean_risk(stats, reg, noise, var_X_t, ds.n_curves)
         assert_allclose(b, stats.C_bar1 * 2.5 * 0.2**1.4, rtol=1e-12)
         assert_allclose(v, 0.04 / stats.N_mu, rtol=1e-12)
         assert_allclose(
             d, 1.3 * (1.0 / stats.W_N - 1.0 / ds.n_curves), rtol=1e-12
         )
         assert_allclose(
-            sum(mean_risk_terms(stats, reg, noise, var_X_t, ds.n_curves)),
+            sum(mean_risk(stats, reg, noise, var_X_t, ds.n_curves)),
             b + v + d,
         )
 
@@ -515,7 +516,7 @@ class TestMeanRisk:
         noise = noise_stub(0.0)
         stats = _points_stats(ds, 0.5, 0.25, 2, BIWEIGHT, 3,
                               2 * reg.alpha_hat)
-        b, _, _ = mean_risk_terms(stats, reg, noise, 0.0, ds.n_curves)
+        b, _, _ = mean_risk(stats, reg, noise, 0.0, ds.n_curves)
         want = stats.C_bar1 * 1.0 / math.factorial(2) ** 2 * 0.25**4.6
         assert_allclose(b, want, rtol=1e-12)
 
@@ -526,7 +527,7 @@ class TestMeanRisk:
         )
         stats = _points_stats(ds, 0.5, 0.05, 0, BIWEIGHT, 2, 1.0)
         reg = reg_stub(0.5, alpha=0.5)
-        terms = mean_risk_terms(stats, reg, noise_stub(0.1), 1.0, 3)
+        terms = mean_risk(stats, reg, noise_stub(0.1), 1.0, 3)
         assert sum(terms) == math.inf
 
     def test_c_bar1_override(self, rng):
@@ -535,9 +536,24 @@ class TestMeanRisk:
         noise = noise_stub(0.0)
         stats = _points_stats(ds, 0.5, 0.2, 0, BIWEIGHT, 2, 1.0)
         cb = kernel_abs_moment(BIWEIGHT, 1.0)
-        b, _, _ = mean_risk_terms(stats, reg, noise, 0.0, ds.n_curves,
-                                  c_bar1=cb)
+        b, _, _ = mean_risk(stats, reg, noise, 0.0, ds.n_curves, c_bar1=cb)
         assert_allclose(b, cb * 0.2, rtol=1e-12)
+
+    def test_noiseless_empty_window_is_infinite_not_nan(self, rng):
+        # sigma2 = 0 over an effective size of 0 is 0/0, and var_X = 0
+        # times 1/W is 0 * inf: every term must still read +inf
+        ds = random_dataset(rng, n_curves=6, n_lo=6, n_hi=10)
+        hs = BandwidthGrid(0.002, 0.4, count=41).values()
+        g = inclusion_stats_over_grid(ds, 0.5, hs, 0, BIWEIGHT, 2, 1.0)
+        empty = g.W_N == 0
+        assert empty.any() and not empty.all()
+        for var_X in (0.0, 1.0):
+            with np.errstate(all="raise"):
+                terms = np.array(mean_risk_terms(
+                    hs, g.W_N, g.N_mu, g.C_bar1, 0.5, 1.0, 0.0, var_X,
+                    ds.n_curves))
+            assert (terms[:, empty] == math.inf).all()
+            assert np.isfinite(terms[:, ~empty]).all()
 
 
 class TestSelectMeanBandwidth:
@@ -625,12 +641,11 @@ class TestMeanRiskOverGrid:
         for h in prof.bandwidths:
             stats = _points_stats(ds, t, h, order, self.kernel,
                                   max(k0, order + 1), 2.0 * reg.alpha_hat)
-            want.append(mean_risk_terms(stats, reg, noise, var_X_t, N,
-                                        c_bar1=cb))
+            want.append(mean_risk(stats, reg, noise, var_X_t, N, c_bar1=cb))
             if stats.W_N == 0:
                 assert want[-1] == (math.inf,) * 3
-                assert sum(mean_risk_terms(stats, reg, noise, var_X_t, N,
-                                           c_bar1=cb)) == math.inf
+                assert sum(mean_risk(stats, reg, noise, var_X_t, N,
+                                     c_bar1=cb)) == math.inf
         want = np.array(want)
         for k, got in enumerate((prof.term_bias, prof.term_var,
                                  prof.term_dropout)):

@@ -184,6 +184,13 @@ class TestH:
         with pytest.raises(EstimationError):
             estimate_H(1.0, -2.0)
 
+    @pytest.mark.parametrize("thetas", [(math.inf, 1.0), (1.0, math.inf),
+                                        (math.inf, math.inf)])
+    def test_non_finite_rejected(self, thetas):
+        # overflowing squared increments; log(inf) - log(inf) is NaN
+        with pytest.raises(EstimationError, match="finite"):
+            estimate_H(*thetas)
+
 
 class TestL2:
     def test_plugin_average(self):
