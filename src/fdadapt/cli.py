@@ -12,11 +12,10 @@ from functools import partial
 
 import numpy as np
 
-from .dataset import ingest_long_csv, uniform_grid, write_long_csv
+from .dataset import _write_rows, ingest_long_csv, uniform_grid, write_long_csv
 from .errors import FdadaptError, ValidationError
 from .evaluate import (
     ExperimentConfig,
-    _write_rows,
     fit,
     run_experiment,
     write_report_csv,

@@ -14,10 +14,10 @@ coordinate pairs, all scored at once over the whole bandwidth grid from
 the coordinates' grid records, and the chosen bandwidths are interpolated
 to the surface. The surface is symmetric: it evaluates the distinct pairs
 of its upper-triangle cells, one per cell off the band and one boundary
-pair per midpoint inside it, and mirrors them. The pairs are evaluated in
-blocks: one kernels._lp_fits call at each end of a block, whatever the
-polynomial orders of the ends, which gives each curve's inclusion flag
-and smoothed value there and nothing else the surface does not read.
+pair per midpoint inside it, and mirrors them. The pairs take one
+kernels._lp_fits call at each end, whatever the polynomial orders of the
+ends, which gives each curve's inclusion flag and smoothed value there
+and nothing else the surface does not read.
 """
 
 from dataclasses import dataclass
@@ -30,7 +30,6 @@ from .kernels import (
     BIWEIGHT,
     EPANECHNIKOV,
     _lp_fits,
-    _point_blocks,
     get_kernel,
 )
 from .mean import (
@@ -263,20 +262,18 @@ def estimate_covariance(dataset, grid, reg_anchors, noise, mean_result,
     h = np.clip(_bilinear(lattice, H_lat, pa, pb), hs[0], hs[-1])
     h = np.where(bandwidth_admissible(pa, pb, h), h,
                  0.5 * np.abs(pb - pa) * (1.0 - 1e-9))
-    gamma = np.full(pa.size, np.nan)
-    W = np.zeros(pa.size, dtype=int)
     live = np.flatnonzero(h >= hs[0])
-    for blk in _point_blocks(dataset, h[live], pa[live], pb[live]):
-        i = live[blk]
-        (wa, xa, _), (wb, xb, _) = (
-            _lp_fits(dataset, x[i], h[i], o[i], kernel, k0)
-            for x, o in zip((pa, pb), end_order))
-        # the mean product over the curves included at both ends, NaN
-        # where no curve pair is
-        both = wa & wb
-        W[i] = np.count_nonzero(both, axis=-1)
-        with np.errstate(invalid="ignore"):
-            gamma[i] = np.where(both, xa * xb, 0.0).sum(axis=-1) / W[i]
+    (wa, xa, _), (wb, xb, _) = (
+        _lp_fits(dataset, x[live], h[live], o[live], kernel, k0)
+        for x, o in zip((pa, pb), end_order))
+    # the mean product over the curves included at both ends, NaN where
+    # no curve pair is
+    both = wa & wb
+    W = np.zeros(pa.size, dtype=int)
+    W[live] = np.count_nonzero(both, axis=-1)
+    gamma = np.full(pa.size, np.nan)
+    with np.errstate(invalid="ignore"):
+        gamma[live] = np.where(both, xa * xb, 0.0).sum(axis=-1) / W[live]
     value = gamma - mu_at(pa) * mu_at(pb)
 
     Gamma = value[k]

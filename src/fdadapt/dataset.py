@@ -3,11 +3,13 @@
 A dataset is a collection of curves, each observed at its own sorted
 times in the open unit interval, possibly sharing a single common
 design. Long-format CSV files (curve_id,t,y) are the on-disk form.
+_write_rows writes every CSV file the package makes, this one included.
 """
 
 import csv
 import functools
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from operator import itemgetter
@@ -324,12 +326,53 @@ def _row_problem(row):
     return None if np.isfinite(y) else "non-finite y"
 
 
+def _fmt(x):
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (float, np.floating)):
+        x = float(x)
+        return "" if math.isnan(x) else repr(x)
+    return str(x)
+
+
+def _cells(col):
+    """The cells of one column by _fmt's rules: a bool, integer or float
+    array in one pass over its tolist(), any other sequence cell by
+    cell."""
+    kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
+    if kind == "b":
+        return ["1" if x else "0" for x in col.tolist()]
+    if kind in "iu":
+        return list(map(str, col.tolist()))
+    if kind == "f":
+        cells = list(map(repr, col.tolist()))
+        for i in np.flatnonzero(np.isnan(col)).tolist():
+            cells[i] = ""
+        return cells
+    return list(map(_fmt, col))
+
+
+# rows formatted and written at a time, so a long file never holds every
+# cell's string at once
+_WRITE_BLOCK = 1 << 16
+
+
+def _write_rows(path, header, columns, preamble=None):
+    """A CSV file of equal-length columns (arrays or sequences), its cells
+    written by _fmt's rules."""
+    columns = list(columns)
+    n = len(columns[0]) if columns else 0
+    with open(path, "w", encoding="utf-8") as fh:
+        if preamble:
+            fh.write(preamble + "\n")
+        fh.write(",".join(header) + "\n")
+        for a in range(0, n, _WRITE_BLOCK):
+            cells = [_cells(c[a:a + _WRITE_BLOCK]) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
 def write_long_csv(dataset, path):
     """Serialize a dataset to the long CSV format, curves in id order."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        writer.writerows(zip(
-            np.repeat(dataset._curve_ids, dataset.lengths).tolist(),
-            map(repr, dataset.times_flat.tolist()),
-            map(repr, dataset.values_flat.tolist())))
+    _write_rows(path, _CSV_HEADER, (
+        np.repeat(dataset._curve_ids, dataset.lengths), dataset.times_flat,
+        dataset.values_flat))

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import uniform_grid
+from .dataset import _write_rows, uniform_grid
 from .errors import (
     EstimationError,
     ExperimentError,
@@ -374,51 +374,6 @@ def run_experiment(config, workers=None):
     summary = _summarize(config, rows)
     return ExperimentReport(config=config, rows=rows, summary=summary,
                             n_failed=n_failed, n_tasks=n_tasks)
-
-
-def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        return "" if math.isnan(x) else repr(x)
-    return str(x)
-
-
-def _cells(col):
-    """The cells of one column by _fmt's rules: a bool, integer or float
-    array in one pass over its tolist(), any other sequence cell by
-    cell."""
-    kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
-    if kind == "b":
-        return ["1" if x else "0" for x in col.tolist()]
-    if kind in "iu":
-        return list(map(str, col.tolist()))
-    if kind == "f":
-        cells = list(map(repr, col.tolist()))
-        for i in np.flatnonzero(np.isnan(col)).tolist():
-            cells[i] = ""
-        return cells
-    return list(map(_fmt, col))
-
-
-# rows formatted and written at a time, so a long file never holds every
-# cell's string at once
-_WRITE_BLOCK = 1 << 16
-
-
-def _write_rows(path, header, columns, preamble=None):
-    """A CSV file of equal-length columns (arrays or sequences), its cells
-    written by _fmt's rules."""
-    columns = list(columns)
-    n = len(columns[0]) if columns else 0
-    with open(path, "w", encoding="utf-8") as fh:
-        if preamble:
-            fh.write(preamble + "\n")
-        fh.write(",".join(header) + "\n")
-        for a in range(0, n, _WRITE_BLOCK):
-            cells = [_cells(c[a:a + _WRITE_BLOCK]) for c in columns]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 REPORT_COLUMNS = ("config_id", "N", "m", "p", "rep", "ise_mean_tilde",

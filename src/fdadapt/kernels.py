@@ -5,9 +5,10 @@ weighted least squares normal equations with the polynomial basis
 z^j / j!. A derivative variant returns the weights whose dot product
 with the curve values estimates the d-th derivative at the target.
 _window_lp_weights fits every curve of a dataset at a batch of (t, h)
-points at once, one call per block of at most _BLOCK_OBS windowed
-observations (_point_blocks), and _lp_fits turns the weights into each
-curve's estimate, one call per polynomial order of the block's points.
+points at once. _lp_fits takes all of a caller's points, splits each
+polynomial order's points into runs of at most _BLOCK_OBS windowed
+observations (_point_blocks), makes one _window_lp_weights call per run
+and writes each run's estimates into the (P, N) outputs.
 A fit is degenerate with fewer than k0 times in [t-h, t+h] or a moment
 matrix whose smallest eigenvalue is at most SINGULAR_RTOL times its
 largest.
@@ -111,18 +112,20 @@ def _window_bounds(dataset, t, h):
     return dataset.sorted_times.searchsorted((t - h - pad, t + h + pad))
 
 
-def _point_blocks(dataset, h, *ts):
-    """Slices that split the points into runs whose windows [t-h, t+h]
-    hold at most _BLOCK_OBS observations at each t of ts (one call per
-    t); a point holding more is a run of its own."""
-    ends = [np.cumsum(np.atleast_1d(hi - lo))
-            for lo, hi in (_window_bounds(dataset, t, h) for t in ts)]
+def _point_blocks(dataset, t, h):
+    """Slices that split the points (t, h) into runs whose windows
+    [t-h, t+h] hold at most _BLOCK_OBS observations together; a point
+    holding more is a run of its own. No points make one empty run, so
+    that a call still returns arrays of its shapes."""
+    lo, hi = _window_bounds(dataset, t, h)
+    ends = np.cumsum(hi - lo)
     i = 0
-    while i < ends[0].size:
-        j = min(int(e.searchsorted((e[i - 1] if i else 0) + _BLOCK_OBS,
-                                   "right")) for e in ends)
-        j = max(j, i + 1)
+    while True:
+        j = max(i + 1, int(ends.searchsorted(
+            (ends[i - 1] if i else 0) + _BLOCK_OBS, "right")))
         yield slice(i, j)
+        if j >= ends.size:
+            return
         i = j
 
 
@@ -218,41 +221,36 @@ def _window_lp_weights(dataset, t, h, order, kernel, k0, deriv=0):
 
 def _lp_fits(dataset, t, h, order, kernel, k0, deriv=0, sums=None):
     """Every curve's local polynomial estimate of the deriv-th derivative
-    at P points (t, h) whose polynomial order may differ per point: one
-    _window_lp_weights call per distinct order o, with k0 raised to
-    max(k0, o + 1), so each point's results are those of a call at it
+    at P points (t, h) whose polynomial order may differ per point (t, h
+    and order broadcast to (P,)). Each order o's points are split into
+    _point_blocks runs, one _window_lp_weights call each, with k0 raised
+    to max(k0, o + 1), so each point's results are those of a call at it
     alone. Returns (w, xhat, extra): w, the non-degenerate flags, and
     xhat, the estimates (NaN where w is false), of shape (P, N).
     sums(at, cell, z, r, cells), if given, returns more per-cell sums of
-    the weights of the call on the points at (a slice or an index
-    array); extra holds them as (k, P, N), each divided by the cell's
-    norm as xhat is, and is None without sums.
+    the weights of the call on the points at (an index array); extra
+    holds them as (k, P, N), each divided by the cell's norm as xhat is,
+    and is None without sums.
     """
     n = dataset.n_curves
-    if np.ndim(order):
-        order, t, h = (x.ravel() for x in np.broadcast_arrays(order, t, h))
-        levels = np.unique(order).tolist()
-    else:
-        levels = [int(order)]
-    one = len(levels) == 1
-    calls = []
+    # no points: one empty call, at the lowest order deriv allows
+    levels = np.unique(order).tolist() or [deriv]
+    order, t, h = (np.ravel(x) for x in np.broadcast_arrays(order, t, h))
+    w, out = np.empty((t.size, n), dtype=bool), None
     for o in levels:
-        # one order takes the whole arrays, without an index or copies
-        at = slice(None) if one else np.flatnonzero(order == o)
-        w, cell, z, y, r, norm = _window_lp_weights(
-            dataset, t if one else t[at], h if one else h[at], o, kernel,
-            max(k0, o + 1), deriv)
-        part = [np.bincount(cell, r * y, minlength=w.size)]
-        if sums is not None:
-            part += sums(at, cell, z, r, w.size)
-        part = np.array(part) / (norm + ~w)  # excluded: 1 added to norm 0
-        calls.append((at, w.reshape(-1, n), part.reshape(len(part), -1, n)))
-    if one:  # one order: its arrays are the result's
-        _, w, out = calls[0]
-    else:
-        w = np.empty((order.size, n), dtype=bool)
-        out = np.empty((len(part), order.size, n))
-        for at, w_o, part in calls:
-            w[at], out[:, at] = w_o, part
+        at = np.flatnonzero(order == o)
+        for b in _point_blocks(dataset, t[at], h[at]):
+            i = at[b]
+            w_i, cell, z, y, r, norm = _window_lp_weights(
+                dataset, t[i], h[i], o, kernel, max(k0, o + 1), deriv)
+            part = [np.bincount(cell, r * y, minlength=w_i.size)]
+            if sums is not None:
+                part += sums(i, cell, z, r, w_i.size)
+            if out is None:
+                out = np.empty((len(part), t.size, n))
+            w[i] = w_i.reshape(-1, n)
+            # excluded cells: 1 added to their norm 0
+            out[:, i] = (np.array(part) / (norm + ~w_i)).reshape(
+                len(part), -1, n)
     out[0][~w] = np.nan
     return w, out[0], out[1:] if sums is not None else None

@@ -9,15 +9,15 @@ here and in the covariance lattice, take the statistics of the whole
 grid from inclusion_stats_over_grid as one record with a leading
 bandwidth axis (at order 0 in one pass per anchor or lattice coordinate)
 and score every grid value with the same array formulas that score a
-single bandwidth. Fits at fixed bandwidths take their (t, h) points in
-blocks; a block's points may sit at different polynomial orders, one
-batched kernel call per order (kernels._lp_fits). The mean's evaluation
-points take one _points_stats record per block, which adds the weight
+single bandwidth. Fits at fixed bandwidths hand all their (t, h)
+points, whatever their polynomial orders, to kernels._lp_fits, which
+splits them into batched kernel calls of bounded memory. The mean's
+evaluation points take one _points_stats record, which adds the weight
 summaries its risk reads to each curve's flag and fitted value.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .kernels import (
     EPANECHNIKOV,
     MAX_ORDER,
     _lp_fits,
-    _point_blocks,
     _window_bounds,
     get_kernel,
     kernel_abs_moment,
@@ -130,9 +129,8 @@ def _points_stats(dataset, t, h, order, kernel, k0, alpha):
                 np.bincount(cell, ar * np.abs(z) ** a, minlength=cells),
                 maxw]
 
-    w, xhat, (c1, c_alpha, maxw) = _lp_fits(
-        dataset, ts, hs, orders if np.ndim(order) else order, kernel, k0,
-        sums=sums)
+    w, xhat, (c1, c_alpha, maxw) = _lp_fits(dataset, ts, hs, orders, kernel,
+                                            k0, sums=sums)
     return _stats(t, h, order, alpha, *(
         x.reshape(shape + (n,)) for x in (w, c1, c_alpha, maxw, xhat)))
 
@@ -194,8 +192,8 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
     bandwidth axis: row k holds the statistics at hs[k]. The record
     carries what the bandwidth searches read and no xhat (None).
 
-    At order >= 1 the points (t, hs[k]) go through _points_stats in
-    blocks. At order 0 the whole grid comes from one window slice at
+    At order >= 1 the points (t, hs[k]) go through one _points_stats
+    call. At order 0 the whole grid comes from one window slice at
     hs[-1]. With u = T - t and K(z) = sum_j c_j z^(2j), each per-curve
     sum is a combination over j of cumulative per-curve sums of |u|^(2j)
     and |u|^(2j+alpha), taken over the observations whose |u| / h is at
@@ -214,11 +212,8 @@ def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
     if k0 < order + 1:
         raise ValidationError("k0 must be at least order + 1")
     if order != 0:
-        blocks = [_points_stats(dataset, t, hs[b], order, kernel, k0, alpha)
-                  for b in _point_blocks(dataset, hs, t)]
-        return _stats(t, hs, order, alpha, *(
-            np.concatenate([getattr(s, name) for s in blocks])
-            for name in ("w", "c1", "c_alpha", "max_abs_w")), None)
+        return replace(_points_stats(dataset, t, hs, order, kernel, k0,
+                                     alpha), xhat=None)
     n, n_h = dataset.n_curves, hs.size
 
     # the slice of kernels._window_lp_weights at the widest bandwidth
@@ -486,27 +481,20 @@ def estimate_mean(dataset, grid, reg_per_anchor, noise, kernel=BIWEIGHT,
 
     alpha, L2, orders = _nearest_regularity(regs, pts)
     cb = kernel_abs_moment(kernel, 2.0 * alpha) if use_moment_approx else None
-    values = np.full(pts.size, np.nan)
-    W_out = np.zeros(pts.size, dtype=int)
-    risk = np.full((3, pts.size), np.nan)
-    for i in _point_blocks(dataset, h_on_grid, pts):
-        stats = _points_stats(dataset, pts[i], h_on_grid[i], orders[i],
-                              kernel, k0, 2.0 * alpha[i])
-        W_out[i] = stats.W_N
-        with np.errstate(invalid="ignore"):
-            values[i] = (np.where(stats.w, stats.xhat, 0.0).sum(axis=-1)
-                         / stats.W_N)
-        risk[:, i] = mean_risk_terms(
-            stats.h, stats.W_N, stats.N_mu,
-            stats.C_bar1 if cb is None else cb[i], alpha[i], L2[i],
-            noise.sigma2_max, var_grid[i], N)
-    risk[:, W_out == 0] = np.nan
+    stats = _points_stats(dataset, pts, h_on_grid, orders, kernel, k0,
+                          2.0 * alpha)
+    with np.errstate(invalid="ignore"):
+        values = np.where(stats.w, stats.xhat, 0.0).sum(axis=-1) / stats.W_N
+    risk = np.array(mean_risk_terms(
+        h_on_grid, stats.W_N, stats.N_mu, stats.C_bar1 if cb is None else cb,
+        alpha, L2, noise.sigma2_max, var_grid, N))
+    risk[:, stats.W_N == 0] = np.nan
 
     return MeanEstimate(
         points=pts,
         values=values,
         h_star=h_on_grid,
-        W_N=W_out,
+        W_N=stats.W_N,
         risk_bias=risk[0],
         risk_var=risk[1],
         risk_dropout=risk[2],

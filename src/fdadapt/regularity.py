@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError, InsufficientDataError, ValidationError
-from .kernels import _lp_fits, _point_blocks
+from .kernels import _lp_fits
 
 H_CLIP_LO = 0.05
 H_CLIP_HI = 1.0
@@ -66,14 +66,9 @@ def presmooth_matrix(dataset, points, h, kernel, d=0):
     window [p-h, p+h] of kernels._lp_fits; a curve with fewer than
     order + 1 points in it or a degenerate fit yields NaN.
     """
-    pts = np.asarray(points, dtype=float)
-    n = dataset.n_curves
-    out = np.full((n, pts.size), np.nan)
     order = d + 1 if d else 0
-    for b in _point_blocks(dataset, h, pts):
-        out[:, b] = _lp_fits(dataset, pts[b], h, order, kernel, order + 1,
-                             deriv=d)[1].T
-    return out
+    return _lp_fits(dataset, np.asarray(points, dtype=float), h, order,
+                    kernel, order + 1, deriv=d)[1].T
 
 
 def estimate_H(theta_13, theta_12):
@@ -156,11 +151,13 @@ def estimate_regularity(dataset, anchor_t2, schedule, kernel="epanechnikov"):
         d12 = P[ok, 1] - P[ok, 0]
         d23 = P[ok, 2] - P[ok, 1]
         d13 = P[ok, 2] - P[ok, 0]
-        th = (
-            float(np.mean(d12 * d12)),
-            float(np.mean(d23 * d23)),
-            float(np.mean(d13 * d13)),
-        )
+        # a square that overflows is inf, which estimate_H rejects
+        with np.errstate(over="ignore"):
+            th = (
+                float(np.mean(d12 * d12)),
+                float(np.mean(d23 * d23)),
+                float(np.mean(d13 * d13)),
+            )
         H_d = estimate_H(th[2], th[0])
         H_list.append(H_d)
         theta_list.append(th)
@@ -170,6 +167,11 @@ def estimate_regularity(dataset, anchor_t2, schedule, kernel="epanechnikov"):
             break
 
     th12, th23, _ = theta_list[delta_hat]
+    if not 0.0 < th23 < math.inf:
+        raise EstimationError(
+            "degenerate increments: the mean squared increment theta_23 "
+            "must be positive and finite"
+        )
     alpha_hat = delta_hat + H_list[delta_hat]
     L2_hat = estimate_L2(th23, th12, t1, anchor_t2, t3, alpha_hat, delta_hat)
     return RegularityEstimate(

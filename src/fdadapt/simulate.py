@@ -303,7 +303,9 @@ def sample_dataset(spec, design, noise, n_curves, seed, eval_grid=None):
             y = x_obs
         else:
             e = rng.standard_normal(mi)
-            y = x_obs + noise.sigma(times, x_obs) * e
+            # a value that overflows is inf, which the check below rejects
+            with np.errstate(over="ignore"):
+                y = x_obs + noise.sigma(times, x_obs) * e
 
         if not np.isfinite(y).all():
             raise ValidationError(f"curve {i}: non-finite value")

@@ -1,9 +1,9 @@
 """Batched kernel calls against one call per point.
 
-The fits evaluate their fixed-bandwidth points in blocks of one batched
-kernels._window_lp_weights call each. Every sum keeps the order of a
-call at one point, so the batched results must equal the per-point ones
-bit for bit, whatever the block size.
+kernels._lp_fits splits the fixed-bandwidth points of a fit into runs of
+one batched kernels._window_lp_weights call each. Every sum keeps the
+order of a call at one point, so the batched results must equal the
+per-point ones bit for bit, whatever the run size.
 """
 
 import dataclasses
@@ -23,17 +23,19 @@ from numpy.testing import assert_array_equal
 from fdadapt import (
     BIWEIGHT,
     EPANECHNIKOV,
+    BandwidthGrid,
     CurveObservations,
     RegularitySchedule,
     estimate_covariance,
     estimate_mean,
+    inclusion_stats_over_grid,
     kernel_abs_moment,
     make_dataset,
     presmooth_matrix,
 )
 from fdadapt import kernels
 from fdadapt.kernels import MAX_ORDER
-from fdadapt.mean import _points_stats, plugin_variance
+from fdadapt.mean import _nearest_regularity, _points_stats, plugin_variance
 
 POINT_FIELDS = ("t", "h", "alpha_exponent", "w", "W_N", "c1", "c_alpha",
                 "max_abs_w", "N_i", "N_mu", "C_bar1", "xhat")
@@ -155,15 +157,25 @@ def test_estimate_mean_points_are_single_point_fits(rng, approx):
 
 
 def fits(ds):
-    """A mean, a covariance surface and a presmoothing matrix."""
+    """A mean, a covariance surface whose pair ends mix orders 0 and 1,
+    order-1 and order-2 grid records, a presmoothing matrix, and last
+    the fits of calls with no points."""
     noise = noise_stub(0.05)
     mean = estimate_mean(ds, GRID, REGS, noise)
-    cov = estimate_covariance(ds, GRID, REGS, noise, mean)
-    return mean, cov, presmooth_matrix(ds, GRID, 0.05, EPANECHNIKOV, d=1)
+    hs = BandwidthGrid(0.01, 0.5, 41).values()
+    none = np.array([])
+    return [mean, estimate_covariance(ds, GRID, REGS, noise, mean),
+            *(inclusion_stats_over_grid(ds, 0.5, hs, o, BIWEIGHT, o + 1, 2.5)
+              for o in (1, 2)),
+            presmooth_matrix(ds, GRID, 0.05, EPANECHNIKOV, d=1),
+            *kernels._lp_fits(ds, none, none, 1, BIWEIGHT, 2)[:2],
+            _points_stats(ds, none, none, 1, BIWEIGHT, 2, 1.3),
+            presmooth_matrix(ds, none, 0.05, EPANECHNIKOV)]
 
 
 def test_block_size_leaves_fits_unchanged(rng, monkeypatch):
     ds = make_dataset(jittered_curves(rng, 12, 40, 80))
+    assert set(_nearest_regularity(REGS, GRID)[2].tolist()) == {0, 1}
     results = []
     for cap in (1, 10**9):
         monkeypatch.setattr(kernels, "_BLOCK_OBS", cap)
@@ -175,3 +187,6 @@ def test_block_size_leaves_fits_unchanged(rng, monkeypatch):
         for field in dataclasses.fields(one):
             assert_array_equal(getattr(one, field.name),
                                getattr(whole, field.name))
+    *_, w, xhat, stats, P = results[0]
+    assert w.shape == xhat.shape == stats.w.shape == (0, ds.n_curves)
+    assert P.shape == (ds.n_curves, 0)

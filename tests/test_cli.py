@@ -131,6 +131,27 @@ class TestSimulate:
         assert lines[1:] == want
 
 
+    def test_out_is_lf_and_reads_back(self, tmp_path):
+        """--out and --latent-out both end lines with LF alone, and --out
+        reads back to the dataset drawn."""
+        out = tmp_path / "d.csv"
+        lat = tmp_path / "lat.csv"
+        assert main(["simulate", "--n", "4", "--m", "10", "--seed", "3",
+                     "--latent-grid", "17", "--out", str(out),
+                     "--latent-out", str(lat)]) == 0
+        assert b"\r" not in out.read_bytes() + lat.read_bytes()
+        want = sample_dataset(ProcessSpec(kind="fbm", hurst=0.5),
+                              DesignSpec(kind="independent", m_mean=10),
+                              NoiseSpec(kind="homoscedastic", sd=0.1), 4, 3,
+                              eval_grid=uniform_grid(17)).dataset
+        back = ingest_long_csv(out)
+        assert back.n_curves == want.n_curves
+        for a, b in zip(want.curves, back.curves):
+            assert a.curve_id == b.curve_id
+            assert_array_equal(a.times, b.times)
+            assert_array_equal(a.values, b.values)
+
+
 class TestRegularity:
     def test_anchor_rows(self, data_csv, tmp_path):
         out = tmp_path / "reg.csv"
@@ -358,6 +379,49 @@ class TestAnchorFailurePolicy:
         assert err.splitlines()[-1].startswith("fdadapt: estimation failed: ")
         assert "must be positive and finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["regularity"],
+                                         ["mean", "--grid", "21"]])
+    def test_zero_theta_23_exits_2(self, tmp_path, capsys, command):
+        """Three common times: two anchors have no curve with defined
+        order-1 presmoothed values and the third a zero theta_23, so
+        every anchor drops and the command fails as an estimation."""
+        data = tmp_path / "m3.csv"
+        assert main(["simulate", "--process", "fbm", "--hurst", "0.5",
+                     "--design", "common", "--n", "10", "--m", "3",
+                     "--seed", "31", "--noise", "homoscedastic",
+                     "--noise-sd", "0.05", "--out", str(data)]) == 0
+        out = tmp_path / "out.csv"
+        rc = main(command + ["--anchors", "3", "--data", str(data),
+                             "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.splitlines()[-1].startswith("fdadapt: estimation failed: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["increments", "noise"])
+    def test_overflow_leaves_one_stderr_line(self, tmp_path, case):
+        """A value that overflows prints no numpy warning ahead of the one
+        line the command fails with. The command runs in a new
+        interpreter, where warnings reach stderr as they do for a user."""
+        args = ["simulate", "--process", "fbm", "--n", "20", "--m", "30",
+                "--seed", "1"]
+        if case == "increments":
+            data = tmp_path / "big.csv"
+            assert main(args + ["--mean-beta0", "1e200", "--noise-sd", "0",
+                                "--out", str(data)]) == 0
+            args, want_rc = ["mean", "--data", str(data)], 2
+        else:
+            args, want_rc = args + ["--noise-sd", "1e308"], 1
+        package_root = os.path.dirname(os.path.dirname(fdadapt.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "fdadapt.cli", *args,
+             "--out", str(tmp_path / "out.csv")],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=package_root),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == want_rc
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("fdadapt: ")
 
     def test_mean_matches_library_fit(self, fou_csv, tmp_path):
         out = tmp_path / "mean.csv"

@@ -26,14 +26,8 @@ from fdadapt import (
     write_report_csv,
     write_summary_csv,
 )
-from fdadapt.evaluate import (
-    REPORT_COLUMNS,
-    SUMMARY_COLUMNS,
-    _fmt,
-    _resolve_workers,
-    _WRITE_BLOCK,
-    _write_rows,
-)
+from fdadapt.dataset import _fmt, _WRITE_BLOCK, _write_rows
+from fdadapt.evaluate import REPORT_COLUMNS, SUMMARY_COLUMNS, _resolve_workers
 
 
 def row_cells(report):

@@ -355,6 +355,19 @@ class TestEstimateRegularity:
         with pytest.raises(ValidationError):
             estimate_regularity(out.dataset, 0.01, sched, EPANECHNIKOV)
 
+    def test_zero_theta_23_is_an_estimation_error(self, rng):
+        """On the common times 0.25, 0.5, 0.75 the windows at t2 and t3
+        of an anchor near the right edge hold only the point 0.75, so
+        theta_23 is 0 while theta_12 and theta_13 are positive: an
+        estimation failure that drops the anchor, not bad usage."""
+        times = np.array([0.25, 0.5, 0.75])
+        ds = make_dataset([CurveObservations(i, times, rng.standard_normal(3))
+                           for i in range(4)])
+        sched = RegularitySchedule(m_hat=ds.m_hat)
+        anchor = feasible_anchor_bounds(sched)[1]
+        with pytest.raises(EstimationError, match="theta_23"):
+            estimate_regularity(ds, anchor, sched, EPANECHNIKOV)
+
     def test_alpha_bounded_by_schedule(self):
         spec = ProcessSpec(kind="fbm", hurst=0.5)
         design = DesignSpec(kind="common", m_mean=200)
