@@ -36,6 +36,7 @@ from .mean import (
     INFINITE_RISK,
     BandwidthGrid,
     _effective_size,
+    _fit_order,
     _nearest_regularity,
     inclusion_stats_over_grid,
     mean_risk_terms,
@@ -221,17 +222,19 @@ def estimate_covariance(dataset, grid, reg_anchors, noise, mean_result,
     lattice = np.linspace(lo, hi, LATTICE_SIZE)
     hs = bandwidths.values()
 
+    # np.interp needs increasing sample points
+    by_t = np.argsort(mean_result.points, kind="stable")
+    mu_t, mu = mean_result.points[by_t], mean_result.values[by_t]
+
     def mu_at(x):
-        return np.interp(x, mean_result.points, mean_result.values)
+        return np.interp(x, mu_t, mu)
 
     P_lat = presmooth_matrix(dataset, lattice, schedule.presmooth_bandwidth,
                              presmooth_kernel)
 
-    lat_alpha, lat_L2, lat_order = _nearest_regularity(regs, lattice)
-    lat_stats = [
-        inclusion_stats_over_grid(dataset, x, hs, o, kernel, max(k0, o + 1),
-                                  2.0 * al)
-        for x, al, o in zip(lattice.tolist(), lat_alpha, lat_order.tolist())]
+    lat_alpha, lat_L2 = _nearest_regularity(regs, lattice)
+    lat_stats = [inclusion_stats_over_grid(dataset, x, hs, al, kernel, k0)
+                 for x, al in zip(lattice.tolist(), lat_alpha)]
     lat_m2 = np.array([_m2_plugin(col) for col in P_lat.T])
     var_lat = [plugin_variance(P_lat[:, k] * P_lat[:, l])
                for k, l in zip(*np.triu_indices(LATTICE_SIZE, 1))]
@@ -256,7 +259,8 @@ def estimate_covariance(dataset, grid, reg_anchors, noise, mean_result,
     uniq, k = np.unique(rep, return_inverse=True)
     pa, pb = pa[uniq], pb[uniq]
 
-    end_order = [_nearest_regularity(regs, x)[2] for x in (pa, pb)]
+    end_order = [_fit_order(_nearest_regularity(regs, x)[0])
+                 for x in (pa, pb)]
     # interpolating lattice values that all sit on the bandwidth grid
     # cannot leave its range, so clamp away rounding noise
     h = np.clip(_bilinear(lattice, H_lat, pa, pb), hs[0], hs[-1])

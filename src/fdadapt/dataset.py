@@ -9,7 +9,6 @@ _write_rows writes every CSV file the package makes, this one included.
 import csv
 import functools
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 from operator import itemgetter
@@ -326,30 +325,17 @@ def _row_problem(row):
     return None if np.isfinite(y) else "non-finite y"
 
 
-def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        return "" if math.isnan(x) else repr(x)
-    return str(x)
-
-
 def _cells(col):
-    """The cells of one column by _fmt's rules: a bool, integer or float
-    array in one pass over its tolist(), any other sequence cell by
-    cell."""
-    kind = col.dtype.kind if isinstance(col, np.ndarray) else "O"
-    if kind == "b":
+    """The cells of one array column, in one pass over its tolist(): a
+    bool as 1 or 0, NaN as an empty cell, any other value by str (for a
+    float, its repr)."""
+    if col.dtype.kind == "b":
         return ["1" if x else "0" for x in col.tolist()]
-    if kind in "iu":
-        return list(map(str, col.tolist()))
-    if kind == "f":
-        cells = list(map(repr, col.tolist()))
+    cells = list(map(str, col.tolist()))
+    if col.dtype.kind == "f":
         for i in np.flatnonzero(np.isnan(col)).tolist():
             cells[i] = ""
-        return cells
-    return list(map(_fmt, col))
+    return cells
 
 
 # rows formatted and written at a time, so a long file never holds every
@@ -358,9 +344,9 @@ _WRITE_BLOCK = 1 << 16
 
 
 def _write_rows(path, header, columns, preamble=None):
-    """A CSV file of equal-length columns (arrays or sequences), its cells
-    written by _fmt's rules."""
-    columns = list(columns)
+    """A CSV file of equal-length columns (arrays or sequences, each taken
+    through np.asarray), its cells written by _cells' rules."""
+    columns = [np.asarray(c) for c in columns]
     n = len(columns[0]) if columns else 0
     with open(path, "w", encoding="utf-8") as fh:
         if preamble:

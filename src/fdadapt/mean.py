@@ -4,12 +4,14 @@ The risk at a candidate bandwidth adds a squared-bias term driven by
 the estimated local regularity, a noise variance term scaled by the
 effective number of observations, and a penalty for curves dropped by
 the inclusion rule. The bandwidth is solved at anchor points and
-interpolated to the evaluation grid. The searches over a bandwidth grid,
-here and in the covariance lattice, take the statistics of the whole
-grid from inclusion_stats_over_grid as one record with a leading
-bandwidth axis (at order 0 in one pass per anchor or lattice coordinate)
-and score every grid value with the same array formulas that score a
-single bandwidth. Fits at fixed bandwidths hand all their (t, h)
+interpolated to the evaluation grid. The regularity estimate alpha_hat
+sets the local polynomial order (_fit_order) and the exponent
+2 alpha_hat of the weight moments in the bias term. The searches over a
+bandwidth grid, here and in the covariance lattice, take the statistics
+of the whole grid from inclusion_stats_over_grid as one record with a
+leading bandwidth axis (at order 0 in one pass per anchor or lattice
+coordinate) and score every grid value with the same array formulas that
+score a single bandwidth. Fits at fixed bandwidths hand all their (t, h)
 points, whatever their polynomial orders, to kernels._lp_fits, which
 splits them into batched kernel calls of bounded memory. The mean's
 evaluation points take one _points_stats record, which adds the weight
@@ -74,13 +76,13 @@ class InclusionStats:
 
     w flags curves with a non-degenerate fit (enough points in the
     window and a solvable system); the c and N arrays are zero and xhat
-    NaN where w is false. alpha_exponent is the exponent used for
-    c_alpha (callers pass twice the regularity estimate). In a grid
-    record (inclusion_stats_over_grid) h, W_N, N_mu and C_bar1 have
-    shape (n_h,) and the per-curve arrays (n_h, N), row k at h[k]; it
-    holds only what the bandwidth searches read, so its xhat is None. A
-    point record (_points_stats) has the same point axis, and t, order
-    and alpha_exponent may also be given per point.
+    NaN where w is false. The record reports the order and the exponent
+    2 alpha_hat of c_alpha it derived from the regularity estimate
+    alpha_hat. In a grid record (inclusion_stats_over_grid) h, W_N, N_mu
+    and C_bar1 have shape (n_h,) and the per-curve arrays (n_h, N), row
+    k at h[k]; it holds only what the bandwidth searches read, so its
+    xhat is None. A point record (_points_stats) has the same point
+    axis, and t, order and alpha_exponent may also be per point.
     """
 
     t: float | np.ndarray
@@ -102,18 +104,26 @@ class InclusionStats:
         return self.w / (self.max_abs_w + ~self.w)
 
 
-def _points_stats(dataset, t, h, order, kernel, k0, alpha):
+def _fit_order(alpha_hat):
+    """The local polynomial order min(floor(alpha_hat), MAX_ORDER) that
+    the regularity estimate alpha_hat sets, elementwise for an array."""
+    return np.minimum(np.floor(alpha_hat), MAX_ORDER).astype(int)
+
+
+def _points_stats(dataset, t, h, alpha_hat, kernel, k0):
     """Curve-inclusion flags and weight summaries at P points (t, h).
 
-    t, h, order and alpha are scalars or arrays that broadcast to (P,)
-    and are kept as given; the other fields have a leading point axis
-    unless all four are scalars. Every curve's local polynomial value
-    weights come from kernels._lp_fits (one batched call per distinct
-    order o, k0 raised to max(k0, o + 1)), which also gives w and xhat;
-    the weights' summaries are summed back per curve. Order 0 is
-    Nadaraya-Watson. Each point's statistics are those of a call at it
-    alone.
+    t, h and the regularity estimate alpha_hat are scalars or arrays that
+    broadcast to (P,). The record keeps t, h, the order
+    _fit_order(alpha_hat) and the exponent 2 alpha_hat in their given
+    shapes; the other fields have a leading point axis unless all three
+    are scalars. Every curve's local polynomial value weights come from
+    kernels._lp_fits (one batched call per distinct order o, k0 raised
+    to o + 1 if lower), which also gives w and xhat; the weights'
+    summaries are summed back per curve. Order 0 is Nadaraya-Watson.
+    Each point's statistics are those of a call at it alone.
     """
+    order, alpha = _fit_order(alpha_hat), 2.0 * alpha_hat
     arrays = np.broadcast_arrays(order, t, h, alpha)
     shape = arrays[0].shape
     orders, ts, hs, alphas = (x.ravel() for x in arrays)
@@ -186,35 +196,36 @@ def _core_bound(kernel):
     return math.sqrt((r - 1.0) / (r + 1.0))
 
 
-def inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0, alpha):
+def inclusion_stats_over_grid(dataset, t, hs, alpha_hat, kernel, k0):
     """_points_stats(dataset, t, h, ...) for every h of an increasing
     bandwidth grid hs, as one InclusionStats whose fields have a leading
     bandwidth axis: row k holds the statistics at hs[k]. The record
-    carries what the bandwidth searches read and no xhat (None).
+    carries what the bandwidth searches read and no xhat (None). k0 must
+    be at least 1; below order + 1 it is raised as in _points_stats.
 
     At order >= 1 the points (t, hs[k]) go through one _points_stats
     call. At order 0 the whole grid comes from one window slice at
     hs[-1]. With u = T - t and K(z) = sum_j c_j z^(2j), each per-curve
     sum is a combination over j of cumulative per-curve sums of |u|^(2j)
-    and |u|^(2j+alpha), taken over the observations whose |u| / h is at
-    most _core_bound(kernel); one stacked matrix product forms those
-    combinations at every bandwidth. For the observations nearer the
-    window edge (none for the uniform kernel), K is evaluated directly at
-    each bandwidth that holds them. Window membership, the k0 counts and
-    so w and W_N are exact; the other summaries match _points_stats to
-    rounding.
+    and |u|^(2j+alpha), alpha = 2 alpha_hat, taken over the observations
+    whose |u| / h is at most _core_bound(kernel); one stacked matrix
+    product forms those combinations at every bandwidth. For the
+    observations nearer the window edge (none for the uniform kernel), K
+    is evaluated directly at each bandwidth that holds them. Window
+    membership, the k0 counts and so w and W_N are exact; the other
+    summaries match _points_stats to rounding.
     """
     hs = np.asarray(hs, dtype=float)
     if (hs.ndim != 1 or not hs.size or hs[0] <= 0.0
             or (np.diff(hs) <= 0.0).any()):
         raise ValidationError("bandwidth grid must be positive and increasing")
     kernel = get_kernel(kernel)
-    if k0 < order + 1:
-        raise ValidationError("k0 must be at least order + 1")
-    if order != 0:
-        return replace(_points_stats(dataset, t, hs, order, kernel, k0,
-                                     alpha), xhat=None)
-    n, n_h = dataset.n_curves, hs.size
+    if k0 < 1:
+        raise ValidationError("k0 must be at least 1")
+    if _fit_order(alpha_hat):
+        return replace(_points_stats(dataset, t, hs, alpha_hat, kernel, k0),
+                       xhat=None)
+    n, n_h, alpha = dataset.n_curves, hs.size, 2.0 * alpha_hat
 
     # the slice of kernels._window_lp_weights at the widest bandwidth
     lo, hi = _window_bounds(dataset, t, hs[-1])
@@ -315,14 +326,13 @@ def _floor_factorial(alpha):
 
 
 def _nearest_regularity(regs, x):
-    """alpha_hat, L2_hat and the polynomial order min(floor(alpha_hat),
-    MAX_ORDER) of the anchor nearest each point x, as arrays; of two
-    anchors equally near, the earlier one in regs (sorted by anchor)."""
+    """alpha_hat and L2_hat of the anchor nearest each point x, as
+    arrays; of two anchors equally near, the earlier one in regs (sorted
+    by anchor)."""
     anchor, alpha, L2 = np.array(
         [[r.anchor_t2, r.alpha_hat, r.L2_hat] for r in regs]).T
     near = np.abs(np.asarray(x)[:, None] - anchor).argmin(axis=1)
-    alpha, L2 = alpha[near], L2[near]
-    return alpha, L2, np.minimum(np.floor(alpha), MAX_ORDER).astype(int)
+    return alpha[near], L2[near]
 
 
 def mean_risk_terms(h, W, n_eff, c_bar1, alpha, L2, sigma2, var_X, N):
@@ -357,12 +367,12 @@ class RiskProfile:
     q2_sq: float
     q3_sq: float
     order: int
-    k0: int
 
 
-def select_mean_bandwidth(dataset, t, reg, noise, var_X_t, kernel, k0,
+def select_mean_bandwidth(dataset, reg, noise, var_X_t, kernel, k0,
                           bandwidths=None, use_moment_approx=False):
-    """Minimize the penalized risk over a log bandwidth grid.
+    """Minimize the penalized risk over a log bandwidth grid at the
+    anchor reg.anchor_t2 of the regularity estimate reg.
 
     Ties break toward the smaller bandwidth. Raises when every grid
     bandwidth leaves all curves excluded.
@@ -370,14 +380,11 @@ def select_mean_bandwidth(dataset, t, reg, noise, var_X_t, kernel, k0,
     kernel = get_kernel(kernel)
     if bandwidths is None:
         bandwidths = BandwidthGrid.default_mean(dataset.m_hat)
-    hs = bandwidths.values()
-    order = min(int(math.floor(reg.alpha_hat)), MAX_ORDER)
-    alpha_exp = 2.0 * reg.alpha_hat
-    k0 = max(k0, order + 1)
-    cb = kernel_abs_moment(kernel, alpha_exp) if use_moment_approx else None
-
-    grid = inclusion_stats_over_grid(dataset, t, hs, order, kernel, k0,
-                                     alpha_exp)
+    hs, t = bandwidths.values(), reg.anchor_t2
+    grid = inclusion_stats_over_grid(dataset, t, hs, reg.alpha_hat, kernel,
+                                     k0)
+    cb = (kernel_abs_moment(kernel, grid.alpha_exponent)
+          if use_moment_approx else None)
     tb, tv, td = mean_risk_terms(
         hs, grid.W_N, grid.N_mu, grid.C_bar1 if cb is None else cb,
         reg.alpha_hat, reg.L2_hat, noise.sigma2_max, var_X_t, dataset.n_curves)
@@ -400,11 +407,10 @@ def select_mean_bandwidth(dataset, t, reg, noise, var_X_t, kernel, k0,
         N_mu=grid.N_mu,
         h_star=h_star,
         h_star_index=idx,
-        q1_sq=float(tb[idx] / h_star ** alpha_exp),
+        q1_sq=float(tb[idx] / h_star ** grid.alpha_exponent),
         q2_sq=float(noise.sigma2_max),
         q3_sq=float(var_X_t),
-        order=order,
-        k0=k0,
+        order=grid.order,
     )
 
 
@@ -466,8 +472,8 @@ def estimate_mean(dataset, grid, reg_per_anchor, noise, kernel=BIWEIGHT,
     for j, reg in enumerate(regs):
         try:
             prof = select_mean_bandwidth(
-                dataset, anchor_ts[j], reg, noise, anchor_var[j], kernel,
-                k0, bandwidths=bandwidths, use_moment_approx=use_moment_approx,
+                dataset, reg, noise, anchor_var[j], kernel, k0,
+                bandwidths=bandwidths, use_moment_approx=use_moment_approx,
             )
         except InsufficientDataError:
             continue
@@ -479,10 +485,10 @@ def estimate_mean(dataset, grid, reg_per_anchor, noise, kernel=BIWEIGHT,
         )
     h_on_grid = np.interp(pts, anchor_ts[ok], anchor_h[ok])
 
-    alpha, L2, orders = _nearest_regularity(regs, pts)
-    cb = kernel_abs_moment(kernel, 2.0 * alpha) if use_moment_approx else None
-    stats = _points_stats(dataset, pts, h_on_grid, orders, kernel, k0,
-                          2.0 * alpha)
+    alpha, L2 = _nearest_regularity(regs, pts)
+    stats = _points_stats(dataset, pts, h_on_grid, alpha, kernel, k0)
+    cb = (kernel_abs_moment(kernel, stats.alpha_exponent)
+          if use_moment_approx else None)
     with np.errstate(invalid="ignore"):
         values = np.where(stats.w, stats.xhat, 0.0).sum(axis=-1) / stats.W_N
     risk = np.array(mean_risk_terms(

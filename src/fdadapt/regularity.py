@@ -243,8 +243,8 @@ def noise_k0(m_hat):
     """Window size for the time-varying noise estimator."""
     if m_hat < 3.0:
         raise ValidationError("noise window rule needs m_hat >= 3")
-    k0 = math.floor(m_hat * math.exp(-(math.log(math.log(m_hat)) ** 2)))
-    return max(k0, 2)
+    return max(2, math.floor(
+        m_hat * math.exp(-(math.log(math.log(m_hat)) ** 2))))
 
 
 @dataclass(frozen=True)

@@ -194,7 +194,7 @@ class TestCriterion04CommonDesignInclusion:
             alpha = float(rng.uniform(0.35, 0.95))
             reg = reg_stub(t, alpha, L2=float(rng.uniform(0.5, 2.0)))
             noise = noise_stub(float(rng.uniform(0.01, 0.05)))
-            prof = select_mean_bandwidth(ds, t, reg, noise, 1.0, BIWEIGHT, 2)
+            prof = select_mean_bandwidth(ds, reg, noise, 1.0, BIWEIGHT, 2)
             assert prof.W_N[prof.h_star_index] == n, (
                 f"case {case}: W_N={prof.W_N[prof.h_star_index]} != {n}"
             )
@@ -344,7 +344,7 @@ class TestCriterion10RiskOracle:
 
             t = float(rng.uniform(0.35, 0.65))
             h = float(rng.uniform(0.2, 0.35))
-            stats = _points_stats(ds, t, h, order, BIWEIGHT, k0, 2.0 * alpha)
+            stats = _points_stats(ds, t, h, alpha, BIWEIGHT, k0)
             reg = reg_stub(t, alpha, L2=L2)
             got = sum(mean_risk(stats, reg, noise_stub(sigma2), var_t, 5))
             inc, c1, ca, mw = brute_curve_summaries(ds, t, h, order,
@@ -360,8 +360,8 @@ class TestCriterion10RiskOracle:
             alpha_s = float(rng.uniform(0.3, 0.95))
             alpha_t = float(rng.uniform(0.3, 0.95))
             ps = combine_pair_stats(
-                _points_stats(ds, s2, h2, 0, BIWEIGHT, k0, 2.0 * alpha_s),
-                _points_stats(ds, t2, h2, 0, BIWEIGHT, k0, 2.0 * alpha_t))
+                _points_stats(ds, s2, h2, alpha_s, BIWEIGHT, k0),
+                _points_stats(ds, t2, h2, alpha_t, BIWEIGHT, k0))
             reg_s = reg_stub(s2, alpha_s, L2=L2)
             reg_t = reg_stub(t2, alpha_t, L2=0.5 * L2)
             m2_s = float(rng.uniform(0.5, 2.0))

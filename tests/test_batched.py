@@ -7,7 +7,6 @@ per-point ones bit for bit, whatever the run size.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -35,7 +34,8 @@ from fdadapt import (
 )
 from fdadapt import kernels
 from fdadapt.kernels import MAX_ORDER
-from fdadapt.mean import _nearest_regularity, _points_stats, plugin_variance
+from fdadapt.mean import (_fit_order, _nearest_regularity, _points_stats,
+                          plugin_variance)
 
 POINT_FIELDS = ("t", "h", "alpha_exponent", "w", "W_N", "c1", "c_alpha",
                 "max_abs_w", "N_i", "N_mu", "C_bar1", "xhat")
@@ -53,28 +53,37 @@ def batched_dataset(rng):
 
 
 class TestPointsStats:
-    # one order for every point, or an order per point, all equal or
-    # mixed; the mixed orders with k0 = 2 raise k0 to 3 at the order-2
-    # points
+    # the regularity estimates order + frac set one order for every
+    # point, or an order per point, all equal or mixed; with k0 = 2 the
+    # mixed orders raise k0 to 3 at the order-2 points. "capped" mixes
+    # regularities on both sides of 1 and 2 with one past MAX_ORDER + 1,
+    # whose order is capped at MAX_ORDER.
     @pytest.mark.parametrize("order", [
         0, 1, 2, pytest.param(np.full(7, 1), id="uniform"),
-        pytest.param(np.array([1, 0, 2, 0, 1, 2, 0]), id="mixed")])
+        pytest.param(np.array([1, 0, 2, 0, 1, 2, 0]), id="mixed"),
+        pytest.param(np.array([1, 0, MAX_ORDER + 1, 0, 1, 2, 1]),
+                     id="capped")])
     def test_equals_stacked_inclusion_stats(self, rng, order):
         ds = batched_dataset(rng)
         # an empty window (h below every gap at 0.305), a window whose
         # curves all hold fewer than k0 points (W = 0), windows that
-        # reach past 0 and 1, and ordinary windows. The exponents avoid
-        # 0.5, 1 and 2, where numpy's power takes a shortcut for a
-        # scalar exponent that an array of exponents does not.
+        # reach past 0 and 1, and ordinary windows. The exponents
+        # 2 alpha_hat avoid 0.5, 1 and 2, where numpy's power takes a
+        # shortcut for a scalar exponent that an array of exponents does
+        # not.
         t = np.array([0.305, 0.5, 0.03, 0.97, 0.41, 0.62, 0.2])
         h = np.array([1e-4, 0.004, 0.1, 0.08, 0.15, 0.05, 0.3])
-        alpha = np.array([0.8, 1.3, 2.7, 1.7, 0.9, 3.1, 1.1])
+        alpha_hat = order + np.array([0.4, 0.65, 0.35, 0.85, 0.45, 0.55,
+                                      0.15])
+        if np.ndim(order) and order[2] > MAX_ORDER:
+            alpha_hat[[1, 5, 6]] = (np.nextafter(1.0, 0.0), 2.0,
+                                    np.nextafter(2.0, 0.0))
         k0 = order + 2 if np.ndim(order) == 0 else 2
-        orders = np.broadcast_to(order, t.shape)
-        got = _points_stats(ds, t, h, order, BIWEIGHT, k0, alpha)
-        want = [_points_stats(ds, *p, BIWEIGHT, k0, a)
-                for *p, a in zip(t, h, orders.tolist(), alpha)]
-        assert_array_equal(got.order, order)
+        got = _points_stats(ds, t, h, alpha_hat, BIWEIGHT, k0)
+        want = [_points_stats(ds, *p, BIWEIGHT, k0)
+                for p in zip(t, h, alpha_hat)]
+        assert_array_equal(got.order, np.minimum(order, MAX_ORDER))
+        assert_array_equal(got.alpha_exponent, 2.0 * alpha_hat)
         assert got.W_N[0] == 0 and got.W_N[1] == 0
         assert (got.W_N[2:] > 0).all()
         assert np.shape(got.w) == (t.size, ds.n_curves)
@@ -92,9 +101,9 @@ def test_surface_fits_are_the_point_records(rng):
     h = np.array([1e-4, 0.004, 0.1, 0.08, 0.15, 0.05, 0.3, 0.06])
     order = np.array([0, 1, 1, 0, 0, 1, 0, 1])
     w, xhat, extra = kernels._lp_fits(ds, t, h, order, BIWEIGHT, 2)
-    got = _points_stats(ds, t, h, order, BIWEIGHT, 2, 1.3)
-    alone = [_points_stats(ds, *p, BIWEIGHT, 2, 1.3)
-             for p in zip(t, h, order.tolist())]
+    got = _points_stats(ds, t, h, order + 0.65, BIWEIGHT, 2)
+    alone = [_points_stats(ds, *p, BIWEIGHT, 2)
+             for p in zip(t, h, order + 0.65)]
     assert extra is None
     assert w.any() and not w.all()
     assert np.isfinite(xhat[w]).all() and np.isnan(xhat[~w]).all()
@@ -143,9 +152,8 @@ def test_estimate_mean_points_are_single_point_fits(rng, approx):
         for j, t in enumerate(GRID):
             # min keeps the first of equally near anchors, the earlier one
             reg = min(regs, key=lambda r: abs(r.anchor_t2 - t))
-            order = min(math.floor(reg.alpha_hat), MAX_ORDER)
-            stats = _points_stats(ds, t, est.h_star[j], order, BIWEIGHT, 2,
-                                  2.0 * reg.alpha_hat)
+            stats = _points_stats(ds, t, est.h_star[j], reg.alpha_hat,
+                                  BIWEIGHT, 2)
             assert est.W_N[j] == stats.W_N
             assert est.values[j] == (
                 np.where(stats.w, stats.xhat, 0.0).sum() / stats.W_N)
@@ -165,17 +173,17 @@ def fits(ds):
     hs = BandwidthGrid(0.01, 0.5, 41).values()
     none = np.array([])
     return [mean, estimate_covariance(ds, GRID, REGS, noise, mean),
-            *(inclusion_stats_over_grid(ds, 0.5, hs, o, BIWEIGHT, o + 1, 2.5)
+            *(inclusion_stats_over_grid(ds, 0.5, hs, o + 0.25, BIWEIGHT, 2)
               for o in (1, 2)),
             presmooth_matrix(ds, GRID, 0.05, EPANECHNIKOV, d=1),
             *kernels._lp_fits(ds, none, none, 1, BIWEIGHT, 2)[:2],
-            _points_stats(ds, none, none, 1, BIWEIGHT, 2, 1.3),
+            _points_stats(ds, none, none, 1.65, BIWEIGHT, 2),
             presmooth_matrix(ds, none, 0.05, EPANECHNIKOV)]
 
 
 def test_block_size_leaves_fits_unchanged(rng, monkeypatch):
     ds = make_dataset(jittered_curves(rng, 12, 40, 80))
-    assert set(_nearest_regularity(REGS, GRID)[2].tolist()) == {0, 1}
+    assert set(_fit_order(_nearest_regularity(REGS, GRID)[0])) == {0, 1}
     results = []
     for cap in (1, 10**9):
         monkeypatch.setattr(kernels, "_BLOCK_OBS", cap)

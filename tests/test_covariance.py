@@ -29,19 +29,19 @@ from fdadapt import (
     diagonal_band_width,
     diagonal_fill_error,
     estimate_covariance,
+    estimate_mean,
     inclusion_stats_over_grid,
     make_dataset,
 )
 from fdadapt.covariance import _lattice_h_star, bandwidth_admissible
-from fdadapt.kernels import MAX_ORDER
 from fdadapt.mean import _points_stats
 
 
-def pair_stats(ds, s, t, h, order_s, order_t, k0, alpha_s, alpha_t):
+def pair_stats(ds, s, t, h, k0, alpha_s, alpha_t):
     """The pair record at one (s, t, h) from two point records."""
     return combine_pair_stats(
-        _points_stats(ds, s, h, order_s, BIWEIGHT, k0, 2.0 * alpha_s),
-        _points_stats(ds, t, h, order_t, BIWEIGHT, k0, 2.0 * alpha_t))
+        _points_stats(ds, s, h, alpha_s, BIWEIGHT, k0),
+        _points_stats(ds, t, h, alpha_t, BIWEIGHT, k0))
 
 
 def regularity_arrays(regs):
@@ -51,15 +51,10 @@ def regularity_arrays(regs):
 
 def grid_records(ds, s, t, reg_s, reg_t, kernel, k0):
     """The grid records at s and t over the default covariance grid, each
-    at the order and exponent of its regularity estimate."""
+    at its regularity estimate."""
     hs = BandwidthGrid.default_cov().values()
-    records = []
-    for x, reg in ((s, reg_s), (t, reg_t)):
-        order = min(int(math.floor(reg.alpha_hat)), MAX_ORDER)
-        records.append(inclusion_stats_over_grid(
-            ds, x, hs, order, kernel, max(k0, order + 1),
-            2.0 * reg.alpha_hat))
-    return records
+    return [inclusion_stats_over_grid(ds, x, hs, reg.alpha_hat, kernel, k0)
+            for x, reg in ((s, reg_s), (t, reg_t))]
 
 
 def mean_stub(points, values):
@@ -82,8 +77,8 @@ class TestPairStats:
             s = float(rng.uniform(0.2, 0.4))
             t = float(rng.uniform(0.6, 0.8))
             h = float(rng.uniform(0.05, 0.15))
-            ss = _points_stats(ds, s, h, 0, BIWEIGHT, 2, 1.0)
-            st = _points_stats(ds, t, h, 0, BIWEIGHT, 2, 1.4)
+            ss = _points_stats(ds, s, h, 0.5, BIWEIGHT, 2)
+            st = _points_stats(ds, t, h, 0.7, BIWEIGHT, 2)
             ps = combine_pair_stats(ss, st)
             inc = ss.w & st.w
             assert_array_equal(ps.w_pair, inc)
@@ -112,16 +107,16 @@ class TestPairStats:
         hs = BandwidthGrid.default_cov().values()
         k0 = order + 1
         ps = combine_pair_stats(
-            inclusion_stats_over_grid(ds, s, hs, order, BIWEIGHT, k0, 1.0),
-            inclusion_stats_over_grid(ds, t, hs, 0, BIWEIGHT, 2, 1.4))
+            inclusion_stats_over_grid(ds, s, hs, order + 0.5, BIWEIGHT, k0),
+            inclusion_stats_over_grid(ds, t, hs, 0.7, BIWEIGHT, 2))
         assert ps.gamma_hat is None
         assert (ps.s, ps.t) == (s, t)
         assert_array_equal(ps.h, hs)
         assert ps.W_pair.any() and not ps.W_pair.all()
         for k, h in enumerate(hs):
             want = combine_pair_stats(
-                _points_stats(ds, s, h, order, BIWEIGHT, k0, 1.0),
-                _points_stats(ds, t, h, 0, BIWEIGHT, 2, 1.4))
+                _points_stats(ds, s, h, order + 0.5, BIWEIGHT, k0),
+                _points_stats(ds, t, h, 0.7, BIWEIGHT, 2))
             assert_array_equal(ps.w_pair[k], want.w_pair)
             assert ps.W_pair[k] == want.W_pair
             for name in ("N_gamma_ts", "N_gamma_st", "C_bar1_ts",
@@ -131,8 +126,8 @@ class TestPairStats:
 
     def test_mismatched_bandwidths_rejected(self, rng):
         ds = random_dataset(rng)
-        a = _points_stats(ds, 0.3, 0.1, 0, BIWEIGHT, 2, 1.0)
-        b = _points_stats(ds, 0.7, 0.2, 0, BIWEIGHT, 2, 1.0)
+        a = _points_stats(ds, 0.3, 0.1, 0.5, BIWEIGHT, 2)
+        b = _points_stats(ds, 0.7, 0.2, 0.5, BIWEIGHT, 2)
         with pytest.raises(ValidationError):
             combine_pair_stats(a, b)
 
@@ -141,7 +136,7 @@ class TestPairStats:
         ds = make_dataset(
             [CurveObservations(i, times, np.ones(3)) for i in range(2)]
         )
-        ps = pair_stats(ds, 0.15, 0.8, 0.03, 0, 0, 2, 0.5, 0.5)
+        ps = pair_stats(ds, 0.15, 0.8, 0.03, 2, 0.5, 0.5)
         assert ps.W_pair == 0
         assert math.isnan(ps.gamma_hat)
         assert ps.N_gamma_ts == 0.0
@@ -163,7 +158,7 @@ class TestCovarianceRisk:
         reg_s = reg_stub(s, alpha=0.5, L2=1.2)
         reg_t = reg_stub(t, alpha=0.7, L2=0.9)
         noise = noise_stub(0.04)
-        ps = pair_stats(ds, s, t, h, 0, 0, 2, 0.5, 0.7)
+        ps = pair_stats(ds, s, t, h, 2, 0.5, 0.7)
         assert ps.W_pair > 0
         m2_s, m2_t, var_p = 1.5, 2.0, 0.8
         b, v, d = cov_risk(
@@ -184,7 +179,7 @@ class TestCovarianceRisk:
 
     def test_overlapping_windows_are_infinite(self, rng):
         ds = random_dataset(rng, n_curves=6, n_lo=15, n_hi=25)
-        ps = pair_stats(ds, 0.45, 0.55, 0.2, 0, 0, 2, 0.5, 0.5)
+        ps = pair_stats(ds, 0.45, 0.55, 0.2, 2, 0.5, 0.5)
         r = sum(cov_risk(
             ps, reg_stub(0.45, 0.5), reg_stub(0.55, 0.5), noise_stub(0.01),
             1.0, 1.0, 1.0, ds.n_curves))
@@ -195,7 +190,7 @@ class TestCovarianceRisk:
         ds = make_dataset(
             [CurveObservations(i, times, np.ones(3)) for i in range(2)]
         )
-        ps = pair_stats(ds, 0.15, 0.8, 0.03, 0, 0, 2, 0.5, 0.5)
+        ps = pair_stats(ds, 0.15, 0.8, 0.03, 2, 0.5, 0.5)
         r = sum(cov_risk(
             ps, reg_stub(0.15, 0.5), reg_stub(0.8, 0.5), noise_stub(0.01),
             1.0, 1.0, 1.0, 2))
@@ -208,8 +203,8 @@ class TestCovarianceRisk:
         hs = BandwidthGrid(0.002, 0.19, count=41).values()
         s, t = 0.3, 0.7
         ps = combine_pair_stats(*(
-            inclusion_stats_over_grid(ds, x, hs, 0, BIWEIGHT, 2, a)
-            for x, a in ((s, 1.0), (t, 1.4))))
+            inclusion_stats_over_grid(ds, x, hs, a, BIWEIGHT, 2)
+            for x, a in ((s, 0.5), (t, 0.7))))
         empty = ps.W_pair == 0
         assert empty.any() and not empty.all()
         assert bandwidth_admissible(s, t, hs).all()
@@ -312,12 +307,9 @@ class TestLatticeBandwidths:
             alphas[-1] = 1.4  # order 1
             regs = [reg_stub(c, a, L2=float(rng.uniform(0.5, 2.0)))
                     for c, a in zip(coords, alphas)]
-            records = []
-            for c, reg in zip(coords, regs):
-                order = int(math.floor(reg.alpha_hat))
-                records.append(inclusion_stats_over_grid(
-                    ds, float(c), hs, order, kernel, max(2, order + 1),
-                    2.0 * reg.alpha_hat))
+            records = [inclusion_stats_over_grid(ds, float(c), hs,
+                                                 reg.alpha_hat, kernel, 2)
+                       for c, reg in zip(coords, regs)]
             m2 = rng.uniform(0.5, 2.0, coords.size)
             pairs = list(zip(*np.triu_indices(coords.size, 1)))
             var = rng.uniform(0.1, 1.0, len(pairs))
@@ -353,16 +345,11 @@ class TestCovRiskOverGrid:
         records = grid_records(ds, s, t, reg_s, reg_t, self.kernel, k0)
         ps = combine_pair_stats(*records)
         terms = cov_risk(ps, *args)
-        order_s = min(int(math.floor(reg_s.alpha_hat)), MAX_ORDER)
-        order_t = min(int(math.floor(reg_t.alpha_hat)), MAX_ORDER)
         want, W = [], []
         for h in ps.h:
             ps_h = combine_pair_stats(
-                _points_stats(ds, s, h, order_s, self.kernel,
-                              max(k0, order_s + 1), 2.0 * reg_s.alpha_hat),
-                _points_stats(ds, t, h, order_t, self.kernel,
-                              max(k0, order_t + 1), 2.0 * reg_t.alpha_hat),
-            )
+                _points_stats(ds, s, h, reg_s.alpha_hat, self.kernel, k0),
+                _points_stats(ds, t, h, reg_t.alpha_hat, self.kernel, k0))
             W.append(ps_h.W_pair)
             want.append(cov_risk(ps_h, *args))
             if ps_h.W_pair == 0 or not bandwidth_admissible(s, t, h):
@@ -427,6 +414,26 @@ class TestEstimateCovariance:
         assert_allclose(surf.values, want, rtol=1e-9)
         assert_allclose(surf.gamma_values, np.mean(np.square(self.levels)),
                         rtol=1e-9)
+
+    def test_mean_grid_order_leaves_the_surface_unchanged(self, rng):
+        # the mean on a reversed or shuffled grid holds the same values in
+        # another order; the surface reads it as a function of time
+        ds = make_dataset(jittered_curves(rng, 30, 40, 80))
+        regs = [reg_stub(0.3, 0.6, L2=0.8), reg_stub(0.7, 1.3, L2=1.2)]
+        noise = noise_stub(0.05)
+        up = np.linspace(0.05, 0.95, 31)
+        grid = np.linspace(0.1, 0.9, 11)
+        means, surfaces = [], []
+        for pts in (up, up[::-1], rng.permutation(up)):
+            mean = estimate_mean(ds, pts, regs, noise)
+            means.append(np.sort(mean.values))
+            surfaces.append(estimate_covariance(ds, grid, regs, noise, mean))
+        want = surfaces[0]
+        assert want.in_band.any() and np.isfinite(want.values).all()
+        for values, surf in zip(means[1:], surfaces[1:]):
+            assert_array_equal(values, means[0])
+            assert_array_equal(surf.values, want.values)
+            assert_array_equal(surf.gamma_values, want.gamma_values)
 
     def test_surface_is_exactly_symmetric(self):
         _, _, surf = self.surface()
@@ -500,9 +507,8 @@ class TestSurfaceCells:
             mean_stub(grid, self.mean), bandwidths=bandwidths)
 
     def end(self, x):
-        """(order, alpha) of the anchor nearest to x."""
-        reg = min(self.regs, key=lambda r: abs(r.anchor_t2 - x))
-        return min(int(math.floor(reg.alpha_hat)), MAX_ORDER), reg.alpha_hat
+        """alpha_hat of the anchor nearest to x."""
+        return min(self.regs, key=lambda r: abs(r.anchor_t2 - x)).alpha_hat
 
     def test_cells_are_pair_estimates(self, rng):
         ds, grid, surf = self.surface(rng)
@@ -526,8 +532,7 @@ class TestSurfaceCells:
                     assert_allclose(h, want_h, rtol=1e-12)
                 else:
                     assert h == 0.5 * (b - a) * (1.0 - 1e-9)
-                (oa, alpha_a), (ob, alpha_b) = self.end(a), self.end(b)
-                ps = pair_stats(ds, a, b, h, oa, ob, 2, alpha_a, alpha_b)
+                ps = pair_stats(ds, a, b, h, 2, self.end(a), self.end(b))
                 value = ps.gamma_hat - self.mean * self.mean
                 assert surf.W_N_pair[i, j] == ps.W_pair
                 if not surf.in_band[i, j]:

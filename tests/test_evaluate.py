@@ -26,12 +26,22 @@ from fdadapt import (
     write_report_csv,
     write_summary_csv,
 )
-from fdadapt.dataset import _fmt, _WRITE_BLOCK, _write_rows
+from fdadapt.dataset import _WRITE_BLOCK, _cells, _write_rows
 from fdadapt.evaluate import REPORT_COLUMNS, SUMMARY_COLUMNS, _resolve_workers
 
 
 def row_cells(report):
-    return [[_fmt(r[c]) for c in REPORT_COLUMNS] for r in report.rows]
+    return [_cells(np.asarray([r[c] for r in report.rows]))
+            for c in REPORT_COLUMNS]
+
+
+def cell(x):
+    """The cell of one value in a column of values of its own kind."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (float, np.floating)):
+        return "" if math.isnan(x) else repr(float(x))
+    return str(x)
 
 
 class TestIse1d:
@@ -310,24 +320,42 @@ class TestWriteRows:
 
     def test_cell_rules(self, tmp_path):
         out = tmp_path / "rows.csv"
-        # columns, each of mixed kinds, so every cell takes _fmt's rules
-        _write_rows(out, ("a", "b", "c", "d"), [
+        # one column per kind (NaN, bool, float repr, int, str), each a
+        # sequence of numpy and Python scalars
+        _write_rows(out, ("a", "b", "c", "d", "e"), [
             (math.nan, np.float64(math.nan), 2.5),
             (np.bool_(True), np.bool_(False), True),
-            (np.float64(0.1), np.float64(1.0 / 3.0), False),
-            (3, np.int64(7), "x"),
+            (np.float64(0.1), np.float64(1.0 / 3.0), 0.0),
+            (3, np.int64(7), -2),
+            ("x", "y", "1.50"),
         ], preamble="# d=0.25 c=0.5")
         assert out.read_text().splitlines() == [
             "# d=0.25 c=0.5",
-            "a,b,c,d",
-            ",1,0.1,3",
-            f",0,{float(1.0 / 3.0)!r},7",
-            "2.5,1,0,x",
+            "a,b,c,d,e",
+            ",1,0.1,3,x",
+            f",0,{float(1.0 / 3.0)!r},7,y",
+            "2.5,1,0.0,-2,1.50",
         ]
 
+    def test_cells_of_each_kind(self):
+        assert _cells(np.array([True, False])) == ["1", "0"]
+        assert _cells(np.array([math.nan, 0.1, -0.0, 1e-17, -math.inf])) == [
+            "", "0.1", "-0.0", "1e-17", "-inf"]
+        assert _cells(np.array([0.1], dtype=np.float32)) == [
+            repr(float(np.float32(0.1)))]
+        assert _cells(np.array([3, -2**62])) == ["3", str(-2**62)]
+        assert _cells(np.array(["x", "1.50"])) == ["x", "1.50"]
+
+    def test_mixed_column_takes_its_array_kind(self, tmp_path):
+        # a column is formatted by the dtype np.asarray gives it: a bool
+        # among floats is a float, an int among strings a string
+        out = tmp_path / "rows.csv"
+        _write_rows(out, ("a", "b"), [(np.float64(0.5), False), (3, "x")])
+        assert out.read_text() == "a,b\n0.5,3\n0.0,x\n"
+
     def test_columns_match_cell_rules(self, rng, tmp_path):
-        # more rows than one write block; the array columns take the
-        # one-pass path, the list columns _fmt cell by cell
+        # more rows than one write block; lists and arrays alike go
+        # through np.asarray, and each column holds one kind
         n = 2 * _WRITE_BLOCK + 5
         floats = rng.standard_normal(n)
         specials = [math.nan, -0.0, math.inf, -math.inf, 1e-17, 0.0, -math.nan]
@@ -341,7 +369,7 @@ class TestWriteRows:
         out = tmp_path / "rows.csv"
         _write_rows(out, [f"c{j}" for j in range(len(columns))], columns)
         want = ["c0,c1,c2,c3,c4,c5,c6,c7"] + [
-            ",".join(_fmt(x) for x in row) for row in zip(*columns)]
+            ",".join(map(cell, row)) for row in zip(*columns)]
         text = out.read_text()
         got = text.split("\n")
         assert got.pop() == "" and len(got) == n + 1

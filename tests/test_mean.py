@@ -32,8 +32,8 @@ from fdadapt import (
     select_mean_bandwidth,
 )
 from fdadapt.kernels import MAX_ORDER, _window_lp_weights
-from fdadapt.mean import (_core_bound, _points_stats, _v_searchsorted,
-                          plugin_variance)
+from fdadapt.mean import (_core_bound, _fit_order, _points_stats,
+                          _v_searchsorted, plugin_variance)
 
 
 def common_dataset(rng, n_curves, m):
@@ -75,7 +75,9 @@ class TestInclusionStats:
             h = float(rng.uniform(0.05, 0.3))
             k0 = 2
             alpha = float(rng.uniform(0.5, 2.0))
-            stats = _points_stats(ds, t, h, 0, BIWEIGHT, k0, alpha)
+            # alpha, the exponent of c_alpha, is twice the regularity
+            stats = _points_stats(ds, t, h, alpha / 2, BIWEIGHT, k0)
+            assert (stats.order, stats.alpha_exponent) == (0, alpha)
             for i, c in enumerate(ds.curves):
                 u = (c.times - t) / h
                 K = BIWEIGHT(u)
@@ -111,7 +113,7 @@ class TestInclusionStats:
             ds = random_dataset(rng, n_curves=4, n_lo=12, n_hi=25)
             t = float(rng.uniform(0.3, 0.7))
             h = float(rng.uniform(0.15, 0.3))
-            stats = _points_stats(ds, t, h, 1, BIWEIGHT, 3, 1.2)
+            stats = _points_stats(ds, t, h, 1.6, BIWEIGHT, 3)
             for i, c in enumerate(ds.curves):
                 lw = lp_coefficient_weights(c.times, t, h, 1, BIWEIGHT, 3)
                 assert stats.w[i] == (not lw.degenerate)
@@ -129,7 +131,7 @@ class TestInclusionStats:
         ds = make_dataset(
             [CurveObservations(i, times, np.ones(3)) for i in range(2)]
         )
-        stats = _points_stats(ds, 0.5, 0.05, 0, BIWEIGHT, 2, 1.0)
+        stats = _points_stats(ds, 0.5, 0.05, 0.5, BIWEIGHT, 2)
         assert stats.W_N == 0
         assert not stats.w.any()
         assert stats.N_mu == 0.0
@@ -137,14 +139,78 @@ class TestInclusionStats:
     def test_validation(self, rng):
         ds = random_dataset(rng)
         with pytest.raises(ValidationError):
-            _points_stats(ds, 0.5, 0.0, 0, BIWEIGHT, 2, 1.0)
+            _points_stats(ds, 0.5, 0.0, 0.5, BIWEIGHT, 2)
         with pytest.raises(ValidationError):
             _window_lp_weights(ds, 0.5, 0.1, 1, BIWEIGHT, 1)
+        # a negative regularity sets order -1
         with pytest.raises(ValidationError):
-            _points_stats(ds, 0.5, 0.1, -1, BIWEIGHT, 2, 1.0)
+            _points_stats(ds, 0.5, 0.1, -0.5, BIWEIGHT, 2)
+        # _fit_order caps the order, so only a direct kernel call can ask
+        # for one above MAX_ORDER
         with pytest.raises(ValidationError):
-            _points_stats(ds, 0.5, 0.1, MAX_ORDER + 1, BIWEIGHT,
-                          MAX_ORDER + 2, 1.0)
+            _window_lp_weights(ds, 0.5, 0.1, MAX_ORDER + 1, BIWEIGHT,
+                               MAX_ORDER + 2)
+
+
+BELOW_1, BELOW_2 = np.nextafter(1.0, 0.0), np.nextafter(2.0, 0.0)
+
+
+def assert_same_record(got, want):
+    """Two InclusionStats equal field by field, bit for bit."""
+    for field in dataclasses.fields(got):
+        assert_array_equal(getattr(got, field.name),
+                           getattr(want, field.name))
+
+
+class TestFitOrder:
+    """The regularity estimate alpha_hat sets the polynomial order
+    min(floor(alpha_hat), MAX_ORDER) and the exponent 2 alpha_hat of
+    every record, on the grid path and on the point path."""
+
+    @pytest.mark.parametrize("alpha_hat, order", [
+        (BELOW_1, 0), (1.0, 1), (BELOW_2, 1), (2.0, 2)])
+    def test_order_steps_at_each_integer(self, rng, alpha_hat, order):
+        ds = make_dataset(jittered_curves(rng, 6, 40, 80))
+        hs = BandwidthGrid(0.05, 0.4, 11).values()
+        assert _fit_order(alpha_hat) == order
+        for stats in (inclusion_stats_over_grid(ds, 0.5, hs, alpha_hat,
+                                                BIWEIGHT, 2),
+                      _points_stats(ds, 0.5, 0.2, alpha_hat, BIWEIGHT, 2)):
+            assert stats.order == order
+            assert stats.alpha_exponent == 2.0 * alpha_hat
+            assert stats.W_N.all()
+
+    @pytest.mark.parametrize("alpha_hat", [MAX_ORDER + 1.0, MAX_ORDER + 2.7])
+    def test_order_is_capped_and_the_exponent_is_not(self, rng, alpha_hat):
+        ds = make_dataset(jittered_curves(rng, 6, 40, 80))
+        hs = BandwidthGrid(0.1, 0.4, 5).values()
+        assert_array_equal(_fit_order([alpha_hat, MAX_ORDER + 0.5]),
+                           [MAX_ORDER, MAX_ORDER])
+        # c_alpha against a per-curve rebuild at the exponent 2 alpha_hat
+        stats = TestInclusionStatsOracle.check(ds, 0.5, 0.3, alpha_hat,
+                                               MAX_ORDER + 1)
+        assert stats.W_N > 0
+        # the fit is the one at MAX_ORDER; only c_alpha's exponent differs
+        fit = _points_stats(ds, 0.5, 0.3, MAX_ORDER + 0.5, BIWEIGHT, 2)
+        for name in ("w", "c1", "max_abs_w", "xhat"):
+            assert_array_equal(getattr(stats, name), getattr(fit, name))
+        grid = inclusion_stats_over_grid(ds, 0.5, hs, alpha_hat, BIWEIGHT, 2)
+        assert grid.order == MAX_ORDER
+        assert grid.alpha_exponent == 2.0 * alpha_hat
+
+    @pytest.mark.parametrize("alpha_hat", [1.0, 1.65, BELOW_2, 2.0, 2.65])
+    def test_low_k0_is_raised(self, rng, alpha_hat):
+        # a k0 from 1 to order gives the record of k0 = order + 1
+        ds = edge_dataset(rng)
+        hs = BandwidthGrid(0.05, 0.4, 21).values()
+        order = min(math.floor(alpha_hat), MAX_ORDER)
+        for h, stats in ((hs, inclusion_stats_over_grid),
+                         (hs[7], _points_stats)):
+            want = stats(ds, 0.5, h, alpha_hat, BIWEIGHT, order + 1)
+            assert np.any(want.W_N)
+            for k0 in range(1, order + 1):
+                assert_same_record(
+                    stats(ds, 0.5, h, alpha_hat, BIWEIGHT, k0), want)
 
 
 def edge_dataset(rng):
@@ -174,8 +240,10 @@ class TestInclusionStatsOracle:
     lp_coefficient_weights, at every polynomial order."""
 
     @staticmethod
-    def check(ds, t, h, order, k0, alpha):
-        stats = _points_stats(ds, t, h, order, BIWEIGHT, k0, alpha)
+    def check(ds, t, h, alpha_hat, k0):
+        order, alpha = min(math.floor(alpha_hat), MAX_ORDER), 2 * alpha_hat
+        stats = _points_stats(ds, t, h, alpha_hat, BIWEIGHT, k0)
+        assert (stats.order, stats.alpha_exponent) == (order, alpha)
         for i, c in enumerate(ds.curves):
             lw = lp_coefficient_weights(c.times, t, h, order, BIWEIGHT, k0)
             assert stats.w[i] == (not lw.degenerate)
@@ -198,7 +266,7 @@ class TestInclusionStatsOracle:
     def test_edge_cases(self, rng, order):
         ds = edge_dataset(rng)
         k0 = max(3, order + 1)
-        stats = self.check(ds, 0.5, 0.25, order, k0, 1.3)
+        stats = self.check(ds, 0.5, 0.25, order + 0.65, k0)
         assert stats.w[0] and stats.w[5:].all()
         assert stats.w[1] == (order == 0)
         assert stats.w[2] == (order <= 1)
@@ -216,13 +284,13 @@ class TestInclusionStatsOracle:
             for t, h in ((float(rng.uniform(0.3, 0.7)),
                           float(rng.uniform(0.15, 0.3))),
                          (0.1, 0.15), (0.9, 0.15)):
-                self.check(ds, t, h, order, order + 1,
-                           float(rng.uniform(0.5, 4.0)))
+                self.check(ds, t, h, order + float(rng.uniform(0.0, 1.0)),
+                           order + 1)
 
     @pytest.mark.parametrize("order", range(MAX_ORDER + 1))
     def test_common_design(self, rng, order):
         ds = common_dataset(rng, 6, 50)
-        stats = self.check(ds, 0.5, 0.2, order, order + 1, 1.1)
+        stats = self.check(ds, 0.5, 0.2, order + 0.55, order + 1)
         assert stats.W_N == 6
 
 
@@ -246,8 +314,8 @@ class TestInclusionStatsOverGrid:
     """Every entry of the grid sweep against _points_stats at its h."""
 
     @staticmethod
-    def check(ds, t, hs, order, kernel, k0, alpha, rtol=1e-12):
-        grid = inclusion_stats_over_grid(ds, t, hs, order, kernel, k0, alpha)
+    def check(ds, t, hs, alpha_hat, kernel, k0, rtol=1e-12):
+        grid = inclusion_stats_over_grid(ds, t, hs, alpha_hat, kernel, k0)
         n_h, n = len(hs), ds.n_curves
         for name in ("h", "W_N", "N_mu", "C_bar1"):
             assert np.shape(getattr(grid, name)) == (n_h,)
@@ -255,7 +323,7 @@ class TestInclusionStatsOverGrid:
             assert np.shape(getattr(grid, name)) == (n_h, n)
         for k, h in enumerate(hs):
             got = grid_row(grid, k)
-            want = _points_stats(ds, t, h, order, kernel, k0, alpha)
+            want = _points_stats(ds, t, h, alpha_hat, kernel, k0)
             assert (got.t, got.h, got.order, got.alpha_exponent) == (
                 want.t, want.h, want.order, want.alpha_exponent)
             assert_array_equal(got.w, want.w)
@@ -276,14 +344,14 @@ class TestInclusionStatsOverGrid:
         hs = BandwidthGrid(0.01, 0.3, 151).values()
         # the windows at 0.1 and 0.9 stick out of (0, 1) from h = 0.1 on
         for t in (0.1, float(rng.uniform(0.3, 0.7)), 0.9):
-            grid = self.check(ds, t, hs, 0, kernel, 2,
-                              float(rng.uniform(0.5, 3.0)))
+            grid = self.check(ds, t, hs, float(rng.uniform(0.25, 1.0)),
+                              kernel, 2)
             assert grid.W_N[0] < grid.W_N[-1] == 8
 
     def test_common_design_tied_times(self, rng):
         ds = lifted(common_dataset(rng, 6, 50).curves)
         hs = BandwidthGrid(0.005, 0.4, 61).values()
-        grid = self.check(ds, 0.43, hs, 0, BIWEIGHT, 2, 1.1)
+        grid = self.check(ds, 0.43, hs, 0.55, BIWEIGHT, 2)
         assert set(grid.W_N) == {0, 6}
 
     @pytest.mark.parametrize("kernel", [UNIFORM, EPANECHNIKOV, BIWEIGHT])
@@ -306,7 +374,7 @@ class TestInclusionStatsOverGrid:
         curves = [CurveObservations(i, ts, rng.standard_normal(ts.size))
                   for i, ts in enumerate(edges)]
         ds = lifted(curves + jittered_curves(rng, 4, 30, 60, len(curves)))
-        grid = self.check(ds, t, hs, 0, kernel, 2, 1.7)
+        grid = self.check(ds, t, hs, 0.85, kernel, 2)
         on_edge = grid.w[4, 1]
         assert on_edge == (kernel is UNIFORM)
         assert grid.W_N[4] == 6 + on_edge
@@ -334,7 +402,7 @@ class TestInclusionStatsOverGrid:
                                     rng.standard_normal(ts.size))
                   for i, ts in enumerate(near_core)]
         ds = lifted(curves + jittered_curves(rng, 4, 30, 60, len(curves)))
-        grid = self.check(ds, t, hs, 0, kernel, 2, 1.7)
+        grid = self.check(ds, t, hs, 0.85, kernel, 2)
         assert grid.w[3, 0] == (kernel is not UNIFORM)
         assert grid.w[10, 1] and grid.w[20, 2] and grid.w[10, 3]
 
@@ -377,16 +445,16 @@ class TestInclusionStatsOverGrid:
     def test_grid_records_carry_no_xhat(self, rng, order):
         ds = edge_dataset(rng)
         hs = BandwidthGrid(0.05, 0.4, 21).values()
-        grid = inclusion_stats_over_grid(ds, 0.5, hs, order, BIWEIGHT,
-                                         order + 2, 1.3)
+        grid = inclusion_stats_over_grid(ds, 0.5, hs, order + 0.65, BIWEIGHT,
+                                         order + 2)
         assert grid.xhat is None
-        assert _points_stats(ds, 0.5, hs[-1], order, BIWEIGHT, order + 2,
-                             1.3).xhat.shape == (ds.n_curves,)
+        assert _points_stats(ds, 0.5, hs[-1], order + 0.65, BIWEIGHT,
+                             order + 2).xhat.shape == (ds.n_curves,)
 
     def test_k0_three(self, rng):
         ds = lifted(jittered_curves(rng, 10, 20, 60))
         hs = BandwidthGrid(0.005, 0.3, 101).values()
-        grid = self.check(ds, 0.37, hs, 0, BIWEIGHT, 3, 0.9)
+        grid = self.check(ds, 0.37, hs, 0.45, BIWEIGHT, 3)
         counts = grid.W_N
         assert counts[0] < counts[-1] == 10
 
@@ -395,8 +463,8 @@ class TestInclusionStatsOverGrid:
                                     rng.uniform(1.0, 2.0, 20))
                   for i in range(4)]
         ds = make_dataset(curves)
-        grid = self.check(ds, 0.2, BandwidthGrid(0.01, 0.3, 41).values(), 0,
-                          BIWEIGHT, 2, 1.0)
+        grid = self.check(ds, 0.2, BandwidthGrid(0.01, 0.3, 41).values(),
+                          0.5, BIWEIGHT, 2)
         assert (grid.W_N == 0).all() and grid.c_alpha.dtype == float
 
     @pytest.mark.parametrize("kernel", [UNIFORM, EPANECHNIKOV, BIWEIGHT])
@@ -412,7 +480,7 @@ class TestInclusionStatsOverGrid:
                   for i, ts in enumerate((empty, lone))]
         ds = lifted(curves + jittered_curves(rng, 5, 30, 60, len(curves)))
         hs = BandwidthGrid(0.01, h_max, 151 if h_max == 0.5 else 41).values()
-        grid = self.check(ds, t, hs, 0, kernel, 2, 1.3)
+        grid = self.check(ds, t, hs, 0.65, kernel, 2)
         assert not grid.w[:, :2].any()
         assert (grid.c_alpha[:, :2] == 0.0).all()
         assert (grid.max_abs_w[:, :2] == 0.0).all()
@@ -432,7 +500,7 @@ class TestInclusionStatsOverGrid:
         curves = [CurveObservations(i, ts, rng.standard_normal(ts.size))
                   for i, ts in enumerate(times)]
         ds = lifted(curves + jittered_curves(rng, 4, 30, 60, len(curves)))
-        grid = self.check(ds, t, hs, 0, kernel, 2, 1.4)
+        grid = self.check(ds, t, hs, 0.7, kernel, 2)
         assert not grid.w[:, 1].any()
         assert grid.w[-1, 0] and grid.w[-1, 2]
 
@@ -447,7 +515,7 @@ class TestInclusionStatsOverGrid:
                   for i, ts in enumerate((few, t + np.array([-0.1, 0.2])))]
         ds = lifted(curves + jittered_curves(rng, 5, 30, 60, len(curves)))
         hs = BandwidthGrid(0.01, 0.3, 61).values()
-        grid = self.check(ds, t, hs, 0, kernel, 4, 1.2)
+        grid = self.check(ds, t, hs, 0.6, kernel, 4)
         assert not grid.w[:, :2].any()
         assert grid.W_N[-1] == 5
 
@@ -463,31 +531,45 @@ class TestInclusionStatsOverGrid:
                                             rng.standard_normal(ts.size)))
         ds = make_dataset(curves)
         hs = BandwidthGrid(0.005, 0.3, 81).values()
-        grid = self.check(ds, 0.5, hs, 0, kernel, 2, 0.9)
+        grid = self.check(ds, 0.5, hs, 0.45, kernel, 2)
         assert (grid.W_N[hs < 0.06] == 0).all()
         assert (grid.c_alpha[hs < 0.06] == 0.0).all()
         assert grid.W_N[-1] == 5
 
     def test_fine_grid(self, rng):
         ds = lifted(jittered_curves(rng, 6, 50, 90))
-        self.check(ds, 0.52, BandwidthGrid(0.004, 0.45, 1501).values(), 0,
-                   BIWEIGHT, 2, 1.3)
+        self.check(ds, 0.52, BandwidthGrid(0.004, 0.45, 1501).values(), 0.65,
+                   BIWEIGHT, 2)
+
+    @pytest.mark.parametrize("alpha_hat", [0.95, BELOW_1, 1.0, 1.05])
+    def test_both_sides_of_one(self, rng, alpha_hat):
+        # below 1 the order-0 sweep, from 1 on the per-bandwidth calls
+        ds = edge_dataset(rng)
+        hs = BandwidthGrid(0.05, 0.4, 21).values()
+        grid = self.check(ds, 0.5, hs, alpha_hat, BIWEIGHT, 2,
+                          rtol=0 if alpha_hat >= 1.0 else 1e-12)
+        assert grid.order == (alpha_hat >= 1.0)
 
     @pytest.mark.parametrize("order", range(1, MAX_ORDER + 1))
     def test_higher_orders_are_the_per_bandwidth_calls(self, rng, order):
         ds = edge_dataset(rng)
         hs = BandwidthGrid(0.05, 0.4, 21).values()
-        self.check(ds, 0.5, hs, order, BIWEIGHT, order + 1, 1.3, rtol=0)
+        self.check(ds, 0.5, hs, order + 0.65, BIWEIGHT, order + 1, rtol=0)
 
     def test_validation(self, rng):
         ds = lifted(jittered_curves(rng, 3, 20, 30))
         for hs in ([0.2, 0.1], [0.0, 0.1], [], [[0.1, 0.2]]):
             with pytest.raises(ValidationError):
-                inclusion_stats_over_grid(ds, 0.5, hs, 0, BIWEIGHT, 2, 1.0)
+                inclusion_stats_over_grid(ds, 0.5, hs, 0.5, BIWEIGHT, 2)
+        # k0 = 0 is rejected at every order; a k0 from 1 to order is
+        # raised before any kernel call (TestFitOrder.test_low_k0_is_raised)
+        # and the kernel itself rejects one below order + 1
         for order in (0, 1):
             with pytest.raises(ValidationError):
-                inclusion_stats_over_grid(ds, 0.5, [0.1, 0.2], order,
-                                          BIWEIGHT, order, 1.0)
+                inclusion_stats_over_grid(ds, 0.5, [0.1, 0.2], order + 0.5,
+                                          BIWEIGHT, 0)
+            with pytest.raises(ValidationError):
+                _window_lp_weights(ds, 0.5, 0.2, order, BIWEIGHT, order)
 
 
 class TestMeanRisk:
@@ -495,8 +577,7 @@ class TestMeanRisk:
         ds = random_dataset(rng, n_curves=8, n_lo=15, n_hi=25)
         reg = reg_stub(0.5, alpha=0.7, L2=2.5)
         noise = noise_stub(0.04)
-        stats = _points_stats(ds, 0.5, 0.2, 0, BIWEIGHT, 2,
-                              2 * reg.alpha_hat)
+        stats = _points_stats(ds, 0.5, 0.2, reg.alpha_hat, BIWEIGHT, 2)
         assert stats.W_N > 0
         var_X_t = 1.3
         b, v, d = mean_risk(stats, reg, noise, var_X_t, ds.n_curves)
@@ -514,8 +595,7 @@ class TestMeanRisk:
         ds = random_dataset(rng, n_curves=6, n_lo=15, n_hi=25)
         reg = reg_stub(0.5, alpha=2.3, L2=1.0)
         noise = noise_stub(0.0)
-        stats = _points_stats(ds, 0.5, 0.25, 2, BIWEIGHT, 3,
-                              2 * reg.alpha_hat)
+        stats = _points_stats(ds, 0.5, 0.25, reg.alpha_hat, BIWEIGHT, 3)
         b, _, _ = mean_risk(stats, reg, noise, 0.0, ds.n_curves)
         want = stats.C_bar1 * 1.0 / math.factorial(2) ** 2 * 0.25**4.6
         assert_allclose(b, want, rtol=1e-12)
@@ -525,8 +605,8 @@ class TestMeanRisk:
         ds = make_dataset(
             [CurveObservations(i, times, np.ones(2)) for i in range(3)]
         )
-        stats = _points_stats(ds, 0.5, 0.05, 0, BIWEIGHT, 2, 1.0)
         reg = reg_stub(0.5, alpha=0.5)
+        stats = _points_stats(ds, 0.5, 0.05, reg.alpha_hat, BIWEIGHT, 2)
         terms = mean_risk(stats, reg, noise_stub(0.1), 1.0, 3)
         assert sum(terms) == math.inf
 
@@ -534,7 +614,7 @@ class TestMeanRisk:
         ds = random_dataset(rng, n_curves=6, n_lo=15, n_hi=25)
         reg = reg_stub(0.5, alpha=0.5, L2=1.0)
         noise = noise_stub(0.0)
-        stats = _points_stats(ds, 0.5, 0.2, 0, BIWEIGHT, 2, 1.0)
+        stats = _points_stats(ds, 0.5, 0.2, reg.alpha_hat, BIWEIGHT, 2)
         cb = kernel_abs_moment(BIWEIGHT, 1.0)
         b, _, _ = mean_risk(stats, reg, noise, 0.0, ds.n_curves, c_bar1=cb)
         assert_allclose(b, cb * 0.2, rtol=1e-12)
@@ -544,7 +624,7 @@ class TestMeanRisk:
         # times 1/W is 0 * inf: every term must still read +inf
         ds = random_dataset(rng, n_curves=6, n_lo=6, n_hi=10)
         hs = BandwidthGrid(0.002, 0.4, count=41).values()
-        g = inclusion_stats_over_grid(ds, 0.5, hs, 0, BIWEIGHT, 2, 1.0)
+        g = inclusion_stats_over_grid(ds, 0.5, hs, 0.5, BIWEIGHT, 2)
         empty = g.W_N == 0
         assert empty.any() and not empty.all()
         for var_X in (0.0, 1.0):
@@ -561,7 +641,7 @@ class TestSelectMeanBandwidth:
         ds = common_dataset(rng, 10, 30)
         reg = reg_stub(0.5, alpha=0.5, L2=0.0)
         prof = select_mean_bandwidth(
-            ds, 0.5, reg, noise_stub(0.0), 0.0, BIWEIGHT, 2,
+            ds, reg, noise_stub(0.0), 0.0, BIWEIGHT, 2,
             bandwidths=BandwidthGrid(0.1, 0.4, count=7),
         )
         assert prof.h_star_index == 0
@@ -577,7 +657,7 @@ class TestSelectMeanBandwidth:
             t = float(rng.uniform(0.3, 0.7))
             reg = reg_stub(t, alpha=float(rng.uniform(0.4, 0.9)), L2=1.0)
             prof = select_mean_bandwidth(
-                ds, t, reg, noise_stub(0.01), 1.0, BIWEIGHT, 2
+                ds, reg, noise_stub(0.01), 1.0, BIWEIGHT, 2
             )
             assert prof.W_N[prof.h_star_index] == n
 
@@ -585,7 +665,7 @@ class TestSelectMeanBandwidth:
         ds = common_dataset(rng, 8, 40)
         reg = reg_stub(0.5, alpha=0.6, L2=1.0)
         prof = select_mean_bandwidth(
-            ds, 0.5, reg, noise_stub(0.02), 0.7, BIWEIGHT, 2
+            ds, reg, noise_stub(0.02), 0.7, BIWEIGHT, 2
         )
         fin = np.isfinite(prof.total)
         assert fin.any()
@@ -606,7 +686,7 @@ class TestSelectMeanBandwidth:
         reg = reg_stub(0.5, alpha=0.5)
         with pytest.raises(InsufficientDataError):
             select_mean_bandwidth(
-                ds, 0.5, reg, noise_stub(0.1), 1.0, BIWEIGHT, 10,
+                ds, reg, noise_stub(0.1), 1.0, BIWEIGHT, 10,
                 bandwidths=BandwidthGrid(0.05, 0.4, count=10),
             )
 
@@ -614,7 +694,7 @@ class TestSelectMeanBandwidth:
         ds = common_dataset(rng, 8, 40)
         reg = reg_stub(0.5, alpha=0.5, L2=1.0)
         prof = select_mean_bandwidth(
-            ds, 0.5, reg, noise_stub(0.01), 0.5, BIWEIGHT, 2,
+            ds, reg, noise_stub(0.01), 0.5, BIWEIGHT, 2,
             use_moment_approx=True,
         )
         assert_allclose(prof.q1_sq, kernel_abs_moment(BIWEIGHT, 1.0),
@@ -628,19 +708,19 @@ class TestMeanRiskOverGrid:
 
     kernel = BIWEIGHT
 
-    def check(self, ds, t, reg, bandwidths, use_moment_approx=False, k0=2):
+    def check(self, ds, reg, bandwidths, use_moment_approx=False, k0=2):
         noise, var_X_t, N = noise_stub(0.03), 0.8, ds.n_curves
         prof = select_mean_bandwidth(
-            ds, t, reg, noise, var_X_t, self.kernel, k0, bandwidths=bandwidths,
+            ds, reg, noise, var_X_t, self.kernel, k0, bandwidths=bandwidths,
             use_moment_approx=use_moment_approx,
         )
-        order = min(int(math.floor(reg.alpha_hat)), MAX_ORDER)
+        assert prof.t == reg.anchor_t2
         cb = (kernel_abs_moment(self.kernel, 2.0 * reg.alpha_hat)
               if use_moment_approx else None)
         want = []
         for h in prof.bandwidths:
-            stats = _points_stats(ds, t, h, order, self.kernel,
-                                  max(k0, order + 1), 2.0 * reg.alpha_hat)
+            stats = _points_stats(ds, reg.anchor_t2, h, reg.alpha_hat,
+                                  self.kernel, k0)
             want.append(mean_risk(stats, reg, noise, var_X_t, N, c_bar1=cb))
             if stats.W_N == 0:
                 assert want[-1] == (math.inf,) * 3
@@ -656,7 +736,7 @@ class TestMeanRiskOverGrid:
     @pytest.mark.parametrize("use_moment_approx", [False, True])
     def test_empty_bandwidths_at_order_zero(self, rng, use_moment_approx):
         ds = random_dataset(rng, n_curves=6, n_lo=8, n_hi=15)
-        prof = self.check(ds, 0.5, reg_stub(0.5, alpha=0.6, L2=1.5),
+        prof = self.check(ds, reg_stub(0.5, alpha=0.6, L2=1.5),
                           BandwidthGrid(0.002, 0.4, 61), use_moment_approx)
         assert prof.W_N[0] == 0 and np.isinf(prof.total[0])
         assert np.isfinite(prof.total).any()
@@ -664,14 +744,14 @@ class TestMeanRiskOverGrid:
     @pytest.mark.parametrize("use_moment_approx", [False, True])
     def test_order_one_anchor(self, rng, use_moment_approx):
         ds = random_dataset(rng, n_curves=8, n_lo=8, n_hi=15)
-        prof = self.check(ds, 0.45, reg_stub(0.45, alpha=1.4, L2=0.7),
+        prof = self.check(ds, reg_stub(0.45, alpha=1.4, L2=0.7),
                           BandwidthGrid(0.001, 0.45, 41), use_moment_approx)
         assert prof.order == 1
         assert np.isinf(prof.total).any() and np.isfinite(prof.total).any()
 
     def test_k0_three(self, rng):
         ds = make_dataset(jittered_curves(rng, 10, 20, 60))
-        self.check(ds, 0.37, reg_stub(0.37, alpha=0.8),
+        self.check(ds, reg_stub(0.37, alpha=0.8),
                    BandwidthGrid(0.005, 0.3, 101), k0=3)
 
 
