@@ -30,10 +30,13 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 def _grid_points(grid):
+    """The grid's points in increasing order, and the stable argsort that
+    puts them there (the identity on an increasing grid)."""
     pts = np.asarray(grid, dtype=float)
     if pts.ndim != 1 or pts.size < 2:
         raise ValidationError("grid must hold at least 2 points")
-    return pts
+    order = np.argsort(pts, kind="stable")
+    return pts[order], order
 
 
 def ise_1d(values_hat, values_ref, grid):
@@ -41,14 +44,15 @@ def ise_1d(values_hat, values_ref, grid):
 
     Points where either input is not finite are excluded and the
     integral is rescaled by full span over covered span, so a handful
-    of undefined points does not bias the metric downward.
+    of undefined points does not bias the metric downward. The grid's
+    points may come in any order; the values follow them.
     """
-    pts = _grid_points(grid)
+    pts, order = _grid_points(grid)
     a = np.asarray(values_hat, dtype=float)
     b = np.asarray(values_ref, dtype=float)
     if a.shape != pts.shape or b.shape != pts.shape:
         raise ValidationError("ise_1d inputs must match the grid shape")
-    diff_sq = (a - b) ** 2
+    diff_sq = ((a - b) ** 2)[order]
     finite = np.isfinite(diff_sq)
     if finite.sum() < 2:
         raise EstimationError("fewer than 2 defined points for ise_1d")
@@ -65,14 +69,15 @@ def ise_2d(values_hat, values_ref, grid):
     """Integrated squared error over the square of a grid.
 
     Cells with any non-finite corner are excluded and the integral is
-    rescaled by total area over covered area.
+    rescaled by total area over covered area. The grid's points may come
+    in any order; the rows and columns of the values follow them.
     """
-    x = _grid_points(grid)
+    x, order = _grid_points(grid)
     A = np.asarray(values_hat, dtype=float)
     B = np.asarray(values_ref, dtype=float)
     if A.shape != (x.size, x.size) or B.shape != A.shape:
         raise ValidationError("ise_2d inputs must match the grid shape")
-    D = (A - B) ** 2
+    D = ((A - B) ** 2)[np.ix_(order, order)]
     F = np.isfinite(D)
     cell_ok = F[:-1, :-1] & F[1:, :-1] & F[:-1, 1:] & F[1:, 1:]
     dx = np.diff(x)

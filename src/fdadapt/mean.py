@@ -7,15 +7,18 @@ the inclusion rule. The bandwidth is solved at anchor points and
 interpolated to the evaluation grid. The regularity estimate alpha_hat
 sets the local polynomial order (_fit_order) and the exponent
 2 alpha_hat of the weight moments in the bias term. The searches over a
-bandwidth grid, here and in the covariance lattice, take the statistics
-of the whole grid from inclusion_stats_over_grid as one record with a
-leading bandwidth axis (at order 0 in one pass per anchor or lattice
-coordinate) and score every grid value with the same array formulas that
-score a single bandwidth. Fits at fixed bandwidths hand all their (t, h)
-points, whatever their polynomial orders, to kernels._lp_fits, which
-splits them into batched kernel calls of bounded memory. The mean's
-evaluation points take one _points_stats record, which adds the weight
-summaries its risk reads to each curve's flag and fitted value.
+bandwidth grid take the statistics of its bandwidths as records with a
+leading bandwidth axis and score every value with the same array
+formulas that score a single bandwidth. At order 0 the statistics come
+from cumulative sums over a window slice: the covariance lattice reads
+the whole grid in one run (inclusion_stats_over_grid), and the mean's
+search reads it in runs of bandwidths (_grid_runs) and stops once a
+lower bound on the risk proves that no bandwidth past the rows scored
+can win (select_mean_bandwidth). Fits at fixed bandwidths hand all their
+(t, h) points, whatever their polynomial orders, to kernels._lp_fits,
+which splits them into batched kernel calls of bounded memory. The
+mean's evaluation points take one _points_stats record, which adds the
+weight summaries its risk reads to each curve's flag and fitted value.
 """
 
 import math
@@ -202,18 +205,34 @@ def inclusion_stats_over_grid(dataset, t, hs, alpha_hat, kernel, k0):
     bandwidth axis: row k holds the statistics at hs[k]. The record
     carries what the bandwidth searches read and no xhat (None). k0 must
     be at least 1; below order + 1 it is raised as in _points_stats.
+    This is the one run of _grid_runs that covers the whole grid.
+    """
+    hs = np.asarray(hs, dtype=float)
+    return next(_grid_runs(dataset, t, hs, alpha_hat, kernel, k0, [hs.size]))
+
+
+def _grid_runs(dataset, t, hs, alpha_hat, kernel, k0, ends):
+    """The rows of inclusion_stats_over_grid in consecutive runs: one
+    record (h = hs[r0:r1]) per run [r0, r1) = [0, ends[0]), [ends[0],
+    ends[1]), ..., yielded in order; ends increase to hs.size. A caller
+    may stop after any run, and no row is computed twice.
 
     At order >= 1 the points (t, hs[k]) go through one _points_stats
-    call. At order 0 the whole grid comes from one window slice at
-    hs[-1]. With u = T - t and K(z) = sum_j c_j z^(2j), each per-curve
-    sum is a combination over j of cumulative per-curve sums of |u|^(2j)
-    and |u|^(2j+alpha), alpha = 2 alpha_hat, taken over the observations
-    whose |u| / h is at most _core_bound(kernel); one stacked matrix
-    product forms those combinations at every bandwidth. For the
-    observations nearer the window edge (none for the uniform kernel), K
-    is evaluated directly at each bandwidth that holds them. Window
-    membership, the k0 counts and so w and W_N are exact; the other
-    summaries match _points_stats to rounding.
+    call, and the one record holds the whole grid. At order 0 a run reads
+    the window slice at its widest bandwidth hs[r1 - 1]. With u = T - t
+    and K(z) = sum_j c_j z^(2j), each per-curve sum is a combination over
+    j of cumulative per-curve sums of |u|^(2j) and |u|^(2j+alpha),
+    alpha = 2 alpha_hat, taken over the observations whose |u| / h is at
+    most _core_bound(kernel); one stacked matrix product forms those
+    combinations at every bandwidth of the run. For the observations
+    nearer the window edge (none for the uniform kernel), K is evaluated
+    directly at each bandwidth that holds them. A run bins only the
+    observations whose entry or core row (below) falls in it, continues
+    the cumulative sums from the run before, and gives each row its edge
+    passes in the order of a single run, so every row is bitwise the row
+    of one run over the whole grid. Window membership, the k0 counts and
+    so w and W_N are exact; the other summaries match _points_stats to
+    rounding.
     """
     hs = np.asarray(hs, dtype=float)
     if (hs.ndim != 1 or not hs.size or hs[0] <= 0.0
@@ -223,80 +242,121 @@ def inclusion_stats_over_grid(dataset, t, hs, alpha_hat, kernel, k0):
     if k0 < 1:
         raise ValidationError("k0 must be at least 1")
     if _fit_order(alpha_hat):
-        return replace(_points_stats(dataset, t, hs, alpha_hat, kernel, k0),
-                       xhat=None)
+        yield replace(_points_stats(dataset, t, hs, alpha_hat, kernel, k0),
+                      xhat=None)
+        return
     n, n_h, alpha = dataset.n_curves, hs.size, 2.0 * alpha_hat
 
-    # the slice of kernels._window_lp_weights at the widest bandwidth
-    lo, hi = _window_bounds(dataset, t, hs[-1])
-    T = dataset.sorted_times[lo:hi]
-    d = np.abs(T - t)
-    cid = dataset.sorted_curve[lo:hi]
-
-    # entry: the first bandwidth holding each observation by the rule
-    # |u / h| <= 1 of kernels._window_lp_weights (n_h when none does).
-    # For positive floats the rounded d / h is at most 1 exactly when
-    # d <= h, so a search on d itself applies that rule. core: the first
-    # bandwidth with d <= _core_bound(kernel) h.
-    split = T.searchsorted(t)
-    entry = _v_searchsorted(hs, d, split)
-    core = _v_searchsorted(_core_bound(kernel) * hs, d, split)
-
-    # B[k]: per curve, the number of observations with entry k and, per j,
-    # the sums of |u|^(2j) and |u|^(2j+alpha) over those with core k. The
-    # observations past the widest bandwidth (entry or core n_h) fall in
-    # row n_h, which is sliced off. Adding up its rows, as cumsum does,
-    # makes B[k] those at hs[k].
-    q = len(kernel.z2_coeffs)
-    size = (n_h + 1) * n
-    B = np.empty((n_h + 1, 1 + 2 * q, n))
-    B[:, 0] = np.bincount(entry * n + cid, minlength=size).reshape(-1, n)
-    cells = core * n + cid
-    da, ha = d ** alpha, hs ** alpha
-    dj = np.ones(d.size)  # |u|^(2j)
-    for j in range(q):
-        B[:, 1 + 2 * j] = np.bincount(cells, dj, size).reshape(-1, n)
-        B[:, 2 + 2 * j] = np.bincount(cells, dj * da, size).reshape(-1, n)
-        dj = dj * d * d
-    B = B[:n_h]
-    for k in range(1, n_h):
-        B[k] += B[k - 1]
-    w = B[:, 0] >= k0
-    # S, A = SA[:, 0], SA[:, 1]: per-curve sums of K and K |z|^alpha; core
-    # part: F[k] @ B[k] adds the sums times c_j / h^(2j) and
+    # F[k] @ B[k] adds the sums of B[k] times c_j / h^(2j) and
     # c_j / h^(2j+alpha) at hs[k] (F is zero at the count row)
+    q = len(kernel.z2_coeffs)
+    ha = hs ** alpha
     F = np.zeros((n_h, 2, 1 + 2 * q))
     hj = np.ones(n_h)  # h^(2j)
     for j, c in enumerate(kernel.z2_coeffs):
         F[:, 0, 1 + 2 * j] = c / hj
         F[:, 1, 2 + 2 * j] = c / (hj * ha)
         hj = hj * hs * hs
-    SA = F @ B
-    del B
-    # edge part: K itself at each (observation, bandwidth) pair with
-    # _core_bound(kernel) < |z| <= 1, one bandwidth further into each run
-    # per pass
-    edge = np.flatnonzero(core > entry)
-    k = entry[edge]
-    while edge.size:
-        K = kernel(d[edge] / hs[k])
-        cells = k * (2 * n) + cid[edge]
-        SA += np.bincount(np.concatenate((cells, cells + n)),
-                          np.concatenate((K, K * da[edge] / ha[k])),
-                          n_h * 2 * n).reshape(n_h, 2, n)
-        k += 1
-        more = k < core[edge]
-        edge, k = edge[more], k[more]
+    core_hs = _core_bound(kernel) * hs
+    near = np.full(n, np.inf)  # each curve's nearest observation so far
+    last = np.zeros((1 + 2 * q, n))  # the cumulative sums before a run
 
-    # the largest weight sits at each curve's nearest observation
-    near = np.full(n, np.inf)
-    np.minimum.at(near, cid, d)
-    S, A = SA[:, 0], SA[:, 1]
-    w &= S > 0.0
-    denom = S + ~w  # excluded cells: 1 added, their numerators are zero
-    c_alpha = A * w / denom
-    maxw = kernel(near / hs[:, None]) * w / denom
-    return _stats(t, hs, 0, alpha, w, w.astype(float), c_alpha, maxw, None)
+    def run(r0, r1):
+        # the slice of kernels._window_lp_weights at the run's widest
+        # bandwidth, which holds every observation the run reads
+        lo, hi = _window_bounds(dataset, t, hs[r1 - 1])
+        T = dataset.sorted_times[lo:hi]
+        d = np.abs(T - t)
+        cid = dataset.sorted_curve[lo:hi]
+
+        # entry: the first bandwidth holding each observation by the rule
+        # |u / h| <= 1 of kernels._window_lp_weights (n_h when none does).
+        # For positive floats the rounded d / h is at most 1 exactly when
+        # d <= h, so a search on d itself applies that rule. core: the
+        # first bandwidth with d <= _core_bound(kernel) h. Both fall before
+        # split and rise from it, as d does, so the observations with an
+        # index below a row form one slice about split, and those with an
+        # index in a range of rows one slice on each side.
+        split = T.searchsorted(t)
+        entry, e_below = _v_searchsorted(hs, d, split)
+        core, c_below = _v_searchsorted(core_hs, d, split)
+
+        def inside(c, r):
+            # the observations whose index in c is below r: one slice
+            # about split
+            return slice(split - c[0, r], split + c[1, r])
+
+        # B[k]: per curve, the number of observations with entry k and,
+        # per j, the sums of |u|^(2j) and |u|^(2j+alpha) over those with
+        # core k; adding up the rows, as cumsum does, makes B[k] those at
+        # hs[k]. A run adds up its rows from the last row of the run
+        # before; the observations binned in that run fall in rows below
+        # r0, which are dropped.
+        rows = r1 - r0
+        B = np.empty((rows, 1 + 2 * q, n))
+        x = inside(e_below, r1)
+        B[:, 0] = np.bincount(entry[x] * n + cid[x], None,
+                              r1 * n)[r0 * n:].reshape(-1, n)
+        np.minimum.at(near, cid[x], d[x])
+        x = inside(c_below, r1)
+        cells, di = core[x] * n + cid[x], d[x]
+        dai = di ** alpha
+        # |u|^(2j) (None at j = 0, where the sums are counts) and
+        # |u|^(2j+alpha)
+        dj, dja = None, dai
+        for j in range(q):
+            for b, v in ((1 + 2 * j, dj), (2 + 2 * j, dja)):
+                B[:, b] = np.bincount(cells, v, r1 * n)[r0 * n:].reshape(-1, n)
+            if j + 1 < q:
+                dj = di * di if dj is None else dj * di * di
+                dja = dj * dai
+        del cells, di, dai, dj, dja
+        B[0] += last
+        for r in range(1, rows):
+            B[r] += B[r - 1]
+        last[...] = B[-1]
+        w = B[:, 0] >= k0
+        # S, A = SA[:, 0], SA[:, 1]: per-curve sums of K and K |z|^alpha
+        SA = F[r0:r1] @ B
+        del B
+        # edge part: K itself at each (observation, bandwidth) pair with
+        # _core_bound(kernel) < |z| <= 1. The observations with such a row
+        # in the run (entry < r1, core > r0) go one bandwidth further into
+        # their edge rows per pass, from entry on, so that each row takes
+        # its passes in the order of a single run. Rows before the run (at
+        # most lead of them) are binned and dropped.
+        left = slice(split - e_below[0, r1], split - c_below[0, r0 + 1])
+        right = slice(split + c_below[1, r0 + 1], split + e_below[1, r1])
+        k, span, i, di = (np.concatenate((x[left], x[right]))
+                          for x in (entry, core, cid, d))
+        del d, entry, core
+        span = np.minimum(span, r1) - k
+        lead = max(r0 - k.min(initial=r0), 0)
+        cells, dai = (k - r0 + lead) * (2 * n) + i, di ** alpha
+        size = (lead + rows) * 2 * n
+        for p in range(span.max(initial=0)):
+            live = span > p
+            k, span, cells, di, dai = (
+                x[live] for x in (k, span, cells, di, dai))
+            kp, at = k + p, cells + p * (2 * n)
+            K = kernel(di / hs[kp])
+            SA += np.bincount(np.concatenate((at, at + n)),
+                              np.concatenate((K, K * dai / ha[kp])),
+                              size).reshape(-1, 2, n)[lead:]
+
+        S, A = SA[:, 0], SA[:, 1]
+        w &= S > 0.0
+        denom = S + ~w  # excluded cells: 1 added, their numerators are zero
+        c_alpha = A * w / denom
+        # the largest weight sits at each curve's nearest observation
+        maxw = kernel(near / hs[r0:r1, None]) * w / denom
+        return _stats(t, hs[r0:r1], 0, alpha, w, w.astype(float), c_alpha,
+                      maxw, None)
+
+    r0 = 0
+    for r1 in ends:
+        yield run(r0, r1)
+        r0 = r1
 
 
 def _v_searchsorted(grid, d, split):
@@ -305,18 +365,20 @@ def _v_searchsorted(grid, d, split):
     time-sorted slice T with split = T.searchsorted(t) are. Each sorted
     run is searched once for the grid values; the counts between
     consecutive grid values then give every observation's index in one
-    np.repeat."""
+    np.repeat. Returns (index, below): below[0, r] and below[1, r] count
+    the values before and from split whose index is below r, for r = 0,
+    ..., grid.size + 1."""
     n = grid.size
-    pos = np.empty((2, n + 2), dtype=np.intp)
-    pos[:, 0] = 0
-    pos[0, 1:-1] = d[:split][::-1].searchsorted(grid, "right")
-    pos[1, 1:-1] = d[split:].searchsorted(grid, "right")
-    pos[:, -1] = split, d.size - split
-    counts = np.diff(pos)
+    below = np.empty((2, n + 2), dtype=np.intp)
+    below[:, 0] = 0
+    below[0, 1:-1] = d[:split][::-1].searchsorted(grid, "right")
+    below[1, 1:-1] = d[split:].searchsorted(grid, "right")
+    below[:, -1] = split, d.size - split
+    counts = np.diff(below)
     slots = np.arange(n + 1)
     # the run before split, read backwards, takes the slots in falling order
     return np.repeat(np.concatenate((slots[::-1], slots)),
-                     np.concatenate((counts[0, ::-1], counts[1])))
+                     np.concatenate((counts[0, ::-1], counts[1]))), below
 
 
 def _floor_factorial(alpha):
@@ -351,7 +413,8 @@ def mean_risk_terms(h, W, n_eff, c_bar1, alpha, L2, sigma2, var_X, N):
 
 @dataclass(frozen=True)
 class RiskProfile:
-    """Risk decomposition over a bandwidth grid and the selected h."""
+    """Risk decomposition over the scored rows of a bandwidth grid (its
+    first bandwidths.size values) and the selected h."""
 
     t: float
     bandwidths: np.ndarray
@@ -369,26 +432,68 @@ class RiskProfile:
     order: int
 
 
+# At order 0 the search first scores the bandwidths up to _FIRST_RUN times
+# the grid's smallest, and the rest only if its certificate fails there.
+_FIRST_RUN = 4.0
+# The certificate must beat the smallest risk so far by this relative
+# margin. The risk terms of the grid rows are good to about 1e-12
+# relative (the 512 eps of _CANCELLATION times the summation error), so
+# the margin covers the rounding of both sides of the comparison and of
+# every row left out.
+_CERTIFICATE_MARGIN = 1e-9
+
+
 def select_mean_bandwidth(dataset, reg, noise, var_X_t, kernel, k0,
                           bandwidths=None, use_moment_approx=False):
     """Minimize the penalized risk over a log bandwidth grid at the
     anchor reg.anchor_t2 of the regularity estimate reg.
 
     Ties break toward the smaller bandwidth. Raises when every grid
-    bandwidth leaves all curves excluded.
+    bandwidth leaves all curves excluded. The profile covers the rows
+    scored: bandwidths is the grid's first bandwidths.size values.
+
+    At order 0 the grid is scored in two runs (_grid_runs), the
+    bandwidths up to _FIRST_RUN hs[0] and the rest, and the search stops
+    after the first run if its last row c certifies
+
+        (W_c / N) bias_c > min over i <= c of total_i (1 + margin):
+
+    then no later bandwidth can tie or beat the minimum, and h_star is
+    that of the whole grid. The weights are nonnegative and sum to one,
+    so bias(h) is L2_hat / floor(alpha_hat)!^2 times the mean over the W
+    included curves of G(h), a curve's weighted mean of |u|^(2
+    alpha_hat). A curve stays included as h grows, and its G never
+    decreases: the kernel (1 - z^2)^p gains relative weight on farther
+    observations, and the observations entering the window lie farther
+    out than all others. So bias(h) >= (W_c / W) bias_c >= (W_c / N)
+    bias_c for h > hs[c]; under use_moment_approx the bias rises with h
+    itself. The variance and dropout terms add to it. The certificate is
+    tried only where it can hold, with L2_hat positive and the noise
+    variance and var_X_t nonnegative; otherwise one run scores the grid.
     """
     kernel = get_kernel(kernel)
     if bandwidths is None:
         bandwidths = BandwidthGrid.default_mean(dataset.m_hat)
-    hs, t = bandwidths.values(), reg.anchor_t2
-    grid = inclusion_stats_over_grid(dataset, t, hs, reg.alpha_hat, kernel,
-                                     k0)
-    cb = (kernel_abs_moment(kernel, grid.alpha_exponent)
-          if use_moment_approx else None)
-    tb, tv, td = mean_risk_terms(
-        hs, grid.W_N, grid.N_mu, grid.C_bar1 if cb is None else cb,
-        reg.alpha_hat, reg.L2_hat, noise.sigma2_max, var_X_t, dataset.n_curves)
-    total = tb + tv + td
+    hs, t, N = bandwidths.values(), reg.anchor_t2, dataset.n_curves
+    alpha = 2.0 * reg.alpha_hat
+    cb = kernel_abs_moment(kernel, alpha) if use_moment_approx else None
+    certify = reg.L2_hat > 0.0 and min(noise.sigma2_max, var_X_t) >= 0.0
+    first = int(hs.searchsorted(_FIRST_RUN * hs[0], "right"))
+    parts, best = [], INFINITE_RISK
+    for grid in _grid_runs(dataset, t, hs, reg.alpha_hat, kernel, k0,
+                           sorted({first, hs.size}) if certify else [hs.size]):
+        W_N, N_mu = grid.W_N, grid.N_mu
+        tb, tv, td = mean_risk_terms(
+            grid.h, W_N, N_mu, grid.C_bar1 if cb is None else cb,
+            reg.alpha_hat, reg.L2_hat, noise.sigma2_max, var_X_t, N)
+        del grid  # frees its per-curve arrays before the next run
+        parts.append((W_N, N_mu, tb, tv, td, tb + tv + td))
+        best = np.minimum(best, parts[-1][-1].min())  # NaN stays NaN
+        # the certificate at the last row scored, if any curve is in
+        if certify and W_N[-1] and (W_N[-1] / N * tb[-1]
+                                    > best * (1.0 + _CERTIFICATE_MARGIN)):
+            break
+    W_N, N_mu, tb, tv, td, total = map(np.concatenate, zip(*parts))
     if not np.any(np.isfinite(total)):
         raise InsufficientDataError(
             f"no admissible bandwidth at t={t}: every grid value leaves "
@@ -398,19 +503,19 @@ def select_mean_bandwidth(dataset, reg, noise, var_X_t, kernel, k0,
     h_star = float(hs[idx])
     return RiskProfile(
         t=float(t),
-        bandwidths=hs,
+        bandwidths=hs[:total.size],
         term_bias=tb,
         term_var=tv,
         term_dropout=td,
         total=total,
-        W_N=grid.W_N,
-        N_mu=grid.N_mu,
+        W_N=W_N,
+        N_mu=N_mu,
         h_star=h_star,
         h_star_index=idx,
-        q1_sq=float(tb[idx] / h_star ** grid.alpha_exponent),
+        q1_sq=float(tb[idx] / h_star ** alpha),
         q2_sq=float(noise.sigma2_max),
         q3_sq=float(var_X_t),
-        order=grid.order,
+        order=int(_fit_order(reg.alpha_hat)),
     )
 
 

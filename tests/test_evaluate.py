@@ -73,6 +73,15 @@ class TestIse1d:
         with pytest.raises(ValidationError):
             ise_1d(np.zeros(50), np.zeros(101), self.grid)
 
+    def test_grid_order_leaves_the_value_unchanged(self, rng):
+        g = np.linspace(0.05, 0.95, 10)
+        a, b = g ** 2, np.sin(3.0 * g)
+        a[4] = np.nan
+        want = ise_1d(a, b, g)
+        swap = np.r_[1, 0, 2:10]
+        for p in (np.arange(10)[::-1], swap, rng.permutation(10)):
+            assert ise_1d(a[p], b[p], g[p]) == want
+
 
 class TestIse2d:
     grid = np.linspace(0.0, 1.0, 41)
@@ -94,6 +103,15 @@ class TestIse2d:
         A[0, 0] = np.nan
         A[20, 20] = np.nan
         assert ise_2d(A, B, self.grid) == 1.0
+
+    def test_grid_order_leaves_the_value_unchanged(self, rng):
+        g = np.linspace(0.05, 0.95, 12)
+        A = np.cos(2.0 * g[:, None] - g[None, :])
+        B = g[:, None] * g[None, :]
+        A[3, 7] = np.nan
+        want = ise_2d(A, B, g)
+        for p in (np.arange(12)[::-1], rng.permutation(12)):
+            assert ise_2d(A[np.ix_(p, p)], B[np.ix_(p, p)], g[p]) == want
 
     def test_all_nan(self):
         A = np.full((41, 41), np.nan)

@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from conftest import (
 )
 from lp_oracle import lp_coefficient_weights
 from numpy.testing import assert_allclose, assert_array_equal
+from one_pass_sweep import one_pass_sweep
 
 from fdadapt import (
     BIWEIGHT,
@@ -23,17 +26,22 @@ from fdadapt import (
     CurveObservations,
     EstimationError,
     InsufficientDataError,
+    RegularitySchedule,
     ValidationError,
     estimate_mean,
+    estimate_noise,
     inclusion_stats_over_grid,
+    ingest_long_csv,
     kernel_abs_moment,
     make_dataset,
     mean_risk_terms,
+    presmooth_matrix,
+    regularity_at_anchors,
     select_mean_bandwidth,
 )
 from fdadapt.kernels import MAX_ORDER, _window_lp_weights
-from fdadapt.mean import (_core_bound, _fit_order, _points_stats,
-                          _v_searchsorted, plugin_variance)
+from fdadapt.mean import (_FIRST_RUN, _core_bound, _fit_order, _grid_runs,
+                          _points_stats, _v_searchsorted, plugin_variance)
 
 
 def common_dataset(rng, n_curves, m):
@@ -427,7 +435,7 @@ class TestInclusionStatsOverGrid:
             vals = rng.integers(0, 9, 12) / 8.0
             d = np.concatenate((np.sort(vals[:split])[::-1],
                                 np.sort(vals[split:])))
-            assert_array_equal(_v_searchsorted(grid, d, split),
+            assert_array_equal(_v_searchsorted(grid, d, split)[0],
                                grid.searchsorted(d))
 
     def test_v_searchsorted_on_a_window(self, rng):
@@ -438,7 +446,7 @@ class TestInclusionStatsOverGrid:
             d = np.abs(T - t)
             for grid in (hs, _core_bound(BIWEIGHT) * hs, d[::7]):
                 assert_array_equal(
-                    _v_searchsorted(np.sort(grid), d, T.searchsorted(t)),
+                    _v_searchsorted(np.sort(grid), d, T.searchsorted(t))[0],
                     np.sort(grid).searchsorted(d))
 
     @pytest.mark.parametrize("order", [0, 1])
@@ -570,6 +578,85 @@ class TestInclusionStatsOverGrid:
                                           BIWEIGHT, 0)
             with pytest.raises(ValidationError):
                 _window_lp_weights(ds, 0.5, 0.2, order, BIWEIGHT, order)
+
+
+def fbm_order0_input(path, seed, index):
+    """Input index of the benchmark's fbm_order0 workload at seed, as
+    perfbench/run.py makes it (workload stream 0) with perfbench/gen.py,
+    written to path and read back."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen",
+        Path(__file__).resolve().parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    data = {"process": "fbm", "hurst": 0.4, "design": "independent",
+            "n": 200, "m": 100, "noise_sd": 0.05}
+    gen.write_csv(gen.sample(data, [seed, 0, index]), path)
+    return ingest_long_csv(path)
+
+
+@pytest.fixture(scope="module")
+def fbm_order0(tmp_path_factory):
+    """The fbm_order0 seed-17 input 0 with what its fit hands each mean
+    bandwidth search: the 20 anchors' regularity, the noise and the
+    variance plug-ins."""
+    ds = fbm_order0_input(tmp_path_factory.mktemp("fbm") / "in.csv", 17, 0)
+    schedule = RegularitySchedule(m_hat=ds.m_hat)
+    regs, _ = regularity_at_anchors(ds, schedule, 20, kernel=EPANECHNIKOV)
+    noise = estimate_noise(ds, np.linspace(0.0, 1.0, 101))
+    P = presmooth_matrix(ds, np.array([r.anchor_t2 for r in regs]),
+                         schedule.presmooth_bandwidth, EPANECHNIKOV)
+    return ds, regs, noise, [plugin_variance(col) for col in P.T]
+
+
+GRID_FIELDS = ("w", "W_N", "c1", "c_alpha", "max_abs_w", "N_mu", "C_bar1")
+
+
+class TestGridRuns:
+    """Each run of _grid_runs holds its rows of the one-pass order-0
+    sweep bit for bit, however the grid is split."""
+
+    def check(self, ds, t, hs, alpha_hat, kernel, k0, ends):
+        ref = one_pass_sweep(ds, t, hs, alpha_hat, kernel, k0)
+        runs = list(_grid_runs(ds, t, hs, alpha_hat, kernel, k0, ends))
+        assert len(runs) == len(ends)
+        for r0, r1, run in zip([0, *ends], ends, runs):
+            assert np.array_equal(run.h, hs[r0:r1])
+            assert run.order == 0 and run.xhat is None
+            for name in GRID_FIELDS:
+                assert np.array_equal(getattr(run, name),
+                                      getattr(ref, name)[r0:r1]), name
+
+    def test_benchmark_input(self, fbm_order0):
+        ds, regs, _, _ = fbm_order0
+        hs = BandwidthGrid.default_mean(ds.m_hat).values()
+        first = int(hs.searchsorted(_FIRST_RUN * hs[0], "right"))
+        for reg in regs:
+            assert _fit_order(reg.alpha_hat) == 0
+            for ends in ([first, hs.size], [hs.size],
+                         [1, 2, first - 1, first + 1, hs.size - 1, hs.size]):
+                self.check(ds, reg.anchor_t2, hs, reg.alpha_hat, BIWEIGHT, 2,
+                           ends)
+
+    @pytest.mark.parametrize("kernel", [UNIFORM, EPANECHNIKOV, BIWEIGHT])
+    def test_random_splits(self, rng, kernel):
+        # fine grids give observations several edge rows, so that a run's
+        # first edge passes reach back into the run before it
+        for _ in range(6):
+            ds = lifted(jittered_curves(rng, 8, 20, 80))
+            count = int(rng.integers(2, 400))
+            hs = BandwidthGrid(float(rng.uniform(0.002, 0.05)),
+                               float(rng.uniform(0.1, 0.6)), count).values()
+            cuts = rng.integers(1, count, int(rng.integers(0, 8)))
+            ends = sorted({*cuts.tolist(), count})
+            self.check(ds, float(rng.uniform(0.0, 1.0)), hs,
+                       float(rng.uniform(0.05, 0.99)), kernel,
+                       int(rng.integers(1, 4)), ends)
+
+    def test_one_row_runs(self, rng):
+        ds = lifted(jittered_curves(rng, 5, 30, 60))
+        hs = BandwidthGrid(0.01, 0.3, 60).values()
+        self.check(ds, 0.4, hs, 0.7, BIWEIGHT, 2, list(range(1, 61)))
 
 
 class TestMeanRisk:
@@ -718,7 +805,7 @@ class TestMeanRiskOverGrid:
         cb = (kernel_abs_moment(self.kernel, 2.0 * reg.alpha_hat)
               if use_moment_approx else None)
         want = []
-        for h in prof.bandwidths:
+        for h in bandwidths.values():
             stats = _points_stats(ds, reg.anchor_t2, h, reg.alpha_hat,
                                   self.kernel, k0)
             want.append(mean_risk(stats, reg, noise, var_X_t, N, c_bar1=cb))
@@ -726,10 +813,14 @@ class TestMeanRiskOverGrid:
                 assert want[-1] == (math.inf,) * 3
                 assert sum(mean_risk(stats, reg, noise, var_X_t, N,
                                      c_bar1=cb)) == math.inf
+        # the scored rows are the grid's first ones, and the selected one
+        # is the minimum over the whole grid
         want = np.array(want)
+        scored = prof.bandwidths.size
+        assert np.array_equal(prof.bandwidths, bandwidths.values()[:scored])
         for k, got in enumerate((prof.term_bias, prof.term_var,
                                  prof.term_dropout)):
-            assert_same_risk(got, want[:, k])
+            assert_same_risk(got, want[:scored, k])
         assert prof.h_star_index == int(np.argmin(want.sum(axis=1)))
         return prof
 
@@ -761,6 +852,117 @@ class TestMeanRiskOverGridUniform(TestMeanRiskOverGrid):
 
 class TestMeanRiskOverGridEpanechnikov(TestMeanRiskOverGrid):
     kernel = EPANECHNIKOV
+
+
+def full_grid_search(ds, reg, noise, var_X, kernel, k0, bandwidths,
+                     use_moment_approx):
+    """The search without a certificate: inclusion_stats_over_grid at
+    every bandwidth, mean_risk_terms and the argmin. Returns the bias,
+    variance and dropout terms, the total and the index."""
+    g = inclusion_stats_over_grid(ds, reg.anchor_t2, bandwidths.values(),
+                                  reg.alpha_hat, kernel, k0)
+    cb = (kernel_abs_moment(kernel, 2.0 * reg.alpha_hat)
+          if use_moment_approx else None)
+    tb, tv, td = mean_risk(g, reg, noise, var_X, ds.n_curves, c_bar1=cb)
+    total = tb + tv + td
+    return tb, tv, td, total, int(np.argmin(total))
+
+
+class TestMeanCertificate:
+    """select_mean_bandwidth, which stops at order 0 once a lower bound
+    rules out the rest of the grid, against the search over the whole
+    grid."""
+
+    def check(self, ds, reg, noise, var_X, kernel, k0, bandwidths,
+              use_moment_approx=False):
+        prof = select_mean_bandwidth(ds, reg, noise, var_X, kernel, k0,
+                                     bandwidths=bandwidths,
+                                     use_moment_approx=use_moment_approx)
+        *terms, total, idx = full_grid_search(
+            ds, reg, noise, var_X, kernel, k0, bandwidths, use_moment_approx)
+        hs, c = bandwidths.values(), prof.bandwidths.size
+        assert prof.h_star_index == idx and prof.h_star == hs[idx]
+        assert np.array_equal(prof.bandwidths, hs[:c])
+        for got, want in zip((prof.term_bias, prof.term_var,
+                              prof.term_dropout, prof.total),
+                             (*terms, total)):
+            assert np.array_equal(got, want[:c])
+        if c < hs.size:
+            # the search stopped: its certificate held, and the bound it
+            # used holds on every row it left out
+            lower = prof.W_N[-1] / ds.n_curves * prof.term_bias[-1]
+            assert lower > prof.total.min() * (1.0 + 1e-9)
+            assert (terms[0][c:] >= lower).all()
+            assert (total[c:] > prof.total.min()).all()
+        return prof
+
+    @pytest.mark.parametrize("use_moment_approx", [False, True])
+    @pytest.mark.parametrize("k0", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [UNIFORM, EPANECHNIKOV, BIWEIGHT])
+    def test_random_order0_inputs(self, rng, kernel, k0, use_moment_approx):
+        stopped = 0
+        for _ in range(8):
+            ds = random_dataset(rng, int(rng.integers(4, 30)), 10, 120)
+            reg = reg_stub(float(rng.uniform(0.1, 0.9)),
+                           alpha=float(rng.uniform(0.05, 0.99)),
+                           L2=float(10.0 ** rng.uniform(-2.0, 1.0)))
+            noise = noise_stub(10.0 ** rng.uniform(-5.0, -1.0))
+            bw = BandwidthGrid(float(rng.uniform(0.005, 0.03)), 0.5,
+                               int(rng.integers(40, 152)))
+            prof = self.check(ds, reg, noise, float(rng.uniform(0.0, 2.0)),
+                              kernel, k0, bw, use_moment_approx)
+            stopped += prof.bandwidths.size < bw.count
+        assert stopped
+
+    def test_minimum_on_run_boundaries(self, rng):
+        # raising the noise variance moves the minimum up the grid; scan
+        # it so that the minimum falls on the first row (on a common
+        # design, where every curve is in from the first row on), on the
+        # last row of the first run and on the first row of the second
+        reg = reg_stub(0.5, alpha=0.6, L2=1.0)
+        bw = BandwidthGrid(0.01, 0.5, 151)
+        hs = bw.values()
+        first = int(hs.searchsorted(_FIRST_RUN * hs[0], "right"))
+        found = set()
+        for ds in (common_dataset(rng, 30, 200),
+                   lifted(jittered_curves(rng, 30, 60, 120))):
+            for sigma2 in np.geomspace(1e-9, 1.0, 300):
+                noise = noise_stub(sigma2)
+                idx = full_grid_search(ds, reg, noise, 0.5, BIWEIGHT, 2, bw,
+                                       False)[-1]
+                if idx in (0, first - 1, first):
+                    found.add(idx)
+                    self.check(ds, reg, noise, 0.5, BIWEIGHT, 2, bw)
+        assert found == {0, first - 1, first}
+
+    @pytest.mark.parametrize("use_moment_approx", [False, True])
+    def test_zero_L2_scores_the_whole_grid(self, rng, use_moment_approx):
+        # the bias and so the bound are zero: nothing is certified
+        ds = lifted(jittered_curves(rng, 12, 40, 80))
+        bw = BandwidthGrid(0.01, 0.5, 151)
+        prof = self.check(ds, reg_stub(0.5, alpha=0.5, L2=0.0),
+                          noise_stub(0.01), 0.3, BIWEIGHT, 2, bw,
+                          use_moment_approx)
+        assert prof.bandwidths.size == bw.count
+
+    def test_negative_terms_score_the_whole_grid(self, rng):
+        # the bound needs nonnegative risk terms; a negative noise
+        # variance switches the certificate off
+        ds = lifted(jittered_curves(rng, 12, 40, 80))
+        bw = BandwidthGrid(0.01, 0.5, 151)
+        reg = reg_stub(0.5, alpha=0.5, L2=1.0)
+        assert self.check(ds, reg, noise_stub(1e-4), 0.3, BIWEIGHT, 2,
+                          bw).bandwidths.size < bw.count
+        assert self.check(ds, reg, noise_stub(-1e-4), 0.3, BIWEIGHT, 2,
+                          bw).bandwidths.size == bw.count
+
+    def test_benchmark_input(self, fbm_order0):
+        ds, regs, noise, var = fbm_order0
+        bw = BandwidthGrid.default_mean(ds.m_hat)
+        first = int(bw.values().searchsorted(_FIRST_RUN * bw.h_min, "right"))
+        for reg, var_X in zip(regs, var):
+            prof = self.check(ds, reg, noise, var_X, BIWEIGHT, 2, bw)
+            assert prof.bandwidths.size == first
 
 
 class TestPluginVariance:
