@@ -215,12 +215,13 @@ def estimate_covariance(dataset, grid, reg_anchors, noise, mean_result,
     d_band = diagonal_band_width(dataset, med_alpha)
     c_exp = band_exponent(med_alpha)
 
+    # a lattice no wider than 2 hs[0] has no admissible pair, so widen it
+    hs = bandwidths.values()
     lo, hi = float(pts.min()), float(pts.max())
-    if hi - lo < 1e-6:
+    if hi - lo <= 2.0 * hs[0]:
         lo = max(1e-4, lo - 0.1)
         hi = min(1.0 - 1e-4, hi + 0.1)
     lattice = np.linspace(lo, hi, LATTICE_SIZE)
-    hs = bandwidths.values()
 
     # np.interp needs increasing sample points
     by_t = np.argsort(mean_result.points, kind="stable")

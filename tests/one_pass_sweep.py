@@ -1,10 +1,12 @@
 """The order-0 grid sweep in one pass over the whole bandwidth grid.
 
-This is the sweep that mean.inclusion_stats_over_grid made before it was
-split into resumable runs (mean._grid_runs), kept as the reference for
-the bits of every row: one window slice at hs[-1], every observation
-binned at its entry and core rows, one cumulative sum over all rows, one
-stacked product and the edge passes over the whole grid.
+This is the sweep of mean.inclusion_stats_over_grid written another
+way, kept as the reference for the bits of every row: one window slice
+at hs[-1], every observation binned at its entry and core rows (those
+past hs[-1] in an overflow row that is sliced off), one cumulative sum
+over all rows, one stacked product and the edge passes over the whole
+grid. The sweep over a prefix of a grid must hold the prefix's rows of
+this record bit for bit.
 """
 
 import numpy as np

@@ -30,9 +30,12 @@ from fdadapt import (
     diagonal_fill_error,
     estimate_covariance,
     estimate_mean,
+    fit,
     inclusion_stats_over_grid,
+    ingest_long_csv,
     make_dataset,
 )
+from fdadapt.cli import main
 from fdadapt.covariance import _lattice_h_star, bandwidth_admissible
 from fdadapt.mean import _points_stats
 
@@ -392,6 +395,16 @@ class TestCovRiskOverGridEpanechnikov(TestCovRiskOverGrid):
     kernel = EPANECHNIKOV
 
 
+@pytest.fixture(scope="module")
+def fbm_data(tmp_path_factory):
+    """fbm H=0.4, 200 curves of 100 points each, noise sd 0.05, seed 1."""
+    path = tmp_path_factory.mktemp("fbm") / "curves.csv"
+    assert main(["simulate", "--process", "fbm", "--hurst", "0.4",
+                 "--n", "200", "--m", "100", "--noise-sd", "0.05",
+                 "--seed", "1", "--out", str(path)]) == 0
+    return ingest_long_csv(path)
+
+
 class TestEstimateCovariance:
     levels = [1.0, 2.0, 3.0, 4.0, 5.0]
 
@@ -414,6 +427,17 @@ class TestEstimateCovariance:
         assert_allclose(surf.values, want, rtol=1e-9)
         assert_allclose(surf.gamma_values, np.mean(np.square(self.levels)),
                         rtol=1e-9)
+
+    @pytest.mark.parametrize("hi", [0.5005, 0.519])
+    def test_grid_within_two_h_min_widens_the_lattice(self, fbm_data, hi):
+        # a grid spanning no more than 2 h_min = 0.02 of the default
+        # covariance bandwidths has no admissible pair of its own, so the
+        # lattice is widened by 0.1 on each side
+        surf = fit(fbm_data, np.linspace(0.1, 0.9, 21), np.array([0.5, hi]),
+                   n_anchors=10).cov
+        assert surf.values.shape == (2, 2)
+        assert np.isfinite(surf.values).all()
+        assert_allclose(surf.lattice[[0, -1]], [0.4, hi + 0.1])
 
     def test_mean_grid_order_leaves_the_surface_unchanged(self, rng):
         # the mean on a reversed or shuffled grid holds the same values in

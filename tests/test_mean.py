@@ -39,9 +39,10 @@ from fdadapt import (
     regularity_at_anchors,
     select_mean_bandwidth,
 )
+from fdadapt import mean as mean_module
 from fdadapt.kernels import MAX_ORDER, _window_lp_weights
-from fdadapt.mean import (_FIRST_RUN, _core_bound, _fit_order, _grid_runs,
-                          _points_stats, _v_searchsorted, plugin_variance)
+from fdadapt.mean import (_FIRST_RUN, _core_bound, _fit_order, _points_stats,
+                          _v_searchsorted, plugin_variance)
 
 
 def common_dataset(rng, n_curves, m):
@@ -612,51 +613,48 @@ def fbm_order0(tmp_path_factory):
 GRID_FIELDS = ("w", "W_N", "c1", "c_alpha", "max_abs_w", "N_mu", "C_bar1")
 
 
-class TestGridRuns:
-    """Each run of _grid_runs holds its rows of the one-pass order-0
-    sweep bit for bit, however the grid is split."""
+class TestGridPrefix:
+    """The sweep over a prefix hs[:r] of a grid holds the rows [:r] of the
+    one-pass order-0 sweep over all of hs bit for bit."""
 
-    def check(self, ds, t, hs, alpha_hat, kernel, k0, ends):
+    def check(self, ds, t, hs, alpha_hat, kernel, k0, prefixes):
         ref = one_pass_sweep(ds, t, hs, alpha_hat, kernel, k0)
-        runs = list(_grid_runs(ds, t, hs, alpha_hat, kernel, k0, ends))
-        assert len(runs) == len(ends)
-        for r0, r1, run in zip([0, *ends], ends, runs):
-            assert np.array_equal(run.h, hs[r0:r1])
-            assert run.order == 0 and run.xhat is None
-            for name in GRID_FIELDS:
-                assert np.array_equal(getattr(run, name),
-                                      getattr(ref, name)[r0:r1]), name
+        for r in prefixes:
+            got = inclusion_stats_over_grid(ds, t, hs[:r], alpha_hat, kernel,
+                                            k0)
+            assert got.order == 0 and got.xhat is None
+            for name in ("h", *GRID_FIELDS):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(ref, name)[:r]), (r, name)
 
     def test_benchmark_input(self, fbm_order0):
         ds, regs, _, _ = fbm_order0
         hs = BandwidthGrid.default_mean(ds.m_hat).values()
         first = int(hs.searchsorted(_FIRST_RUN * hs[0], "right"))
+        assert hs.size == 151
         for reg in regs:
             assert _fit_order(reg.alpha_hat) == 0
-            for ends in ([first, hs.size], [hs.size],
-                         [1, 2, first - 1, first + 1, hs.size - 1, hs.size]):
-                self.check(ds, reg.anchor_t2, hs, reg.alpha_hat, BIWEIGHT, 2,
-                           ends)
+            self.check(ds, reg.anchor_t2, hs, reg.alpha_hat, BIWEIGHT, 2,
+                       [1, 2, first - 1, first, first + 1, 150, 151])
 
     @pytest.mark.parametrize("kernel", [UNIFORM, EPANECHNIKOV, BIWEIGHT])
-    def test_random_splits(self, rng, kernel):
-        # fine grids give observations several edge rows, so that a run's
-        # first edge passes reach back into the run before it
+    def test_random_prefixes(self, rng, kernel):
+        # fine grids give observations several edge rows, so that a
+        # prefix ends inside some observations' edge rows
         for _ in range(6):
             ds = lifted(jittered_curves(rng, 8, 20, 80))
-            count = int(rng.integers(2, 400))
+            count = int(rng.integers(2, 401))
             hs = BandwidthGrid(float(rng.uniform(0.002, 0.05)),
                                float(rng.uniform(0.1, 0.6)), count).values()
-            cuts = rng.integers(1, count, int(rng.integers(0, 8)))
-            ends = sorted({*cuts.tolist(), count})
             self.check(ds, float(rng.uniform(0.0, 1.0)), hs,
                        float(rng.uniform(0.05, 0.99)), kernel,
-                       int(rng.integers(1, 4)), ends)
+                       int(rng.integers(1, 4)),
+                       rng.integers(1, count + 1, 4))
 
-    def test_one_row_runs(self, rng):
+    def test_every_prefix(self, rng):
         ds = lifted(jittered_curves(rng, 5, 30, 60))
         hs = BandwidthGrid(0.01, 0.3, 60).values()
-        self.check(ds, 0.4, hs, 0.7, BIWEIGHT, 2, list(range(1, 61)))
+        self.check(ds, 0.4, hs, 0.7, BIWEIGHT, 2, range(1, 61))
 
 
 class TestMeanRisk:
@@ -918,7 +916,7 @@ class TestMeanCertificate:
         # raising the noise variance moves the minimum up the grid; scan
         # it so that the minimum falls on the first row (on a common
         # design, where every curve is in from the first row on), on the
-        # last row of the first run and on the first row of the second
+        # prefix's last row and on the first row after it
         reg = reg_stub(0.5, alpha=0.6, L2=1.0)
         bw = BandwidthGrid(0.01, 0.5, 151)
         hs = bw.values()
@@ -955,6 +953,33 @@ class TestMeanCertificate:
                           bw).bandwidths.size < bw.count
         assert self.check(ds, reg, noise_stub(-1e-4), 0.3, BIWEIGHT, 2,
                           bw).bandwidths.size == bw.count
+
+    @pytest.mark.parametrize("case", [
+        "certified", "zero_L2", "tiny_L2", "order_1", "short_grid"])
+    def test_grids_swept(self, rng, monkeypatch, case):
+        # the search sweeps the prefix up to _FIRST_RUN h_min, and the
+        # whole grid from scratch only where the certificate fails there
+        # or is not tried; a grid that ends before _FIRST_RUN h_min is
+        # swept once
+        ds = lifted(jittered_curves(rng, 12, 40, 80))
+        bw = (BandwidthGrid(0.01, 0.04, 20) if case == "short_grid"
+              else BandwidthGrid(0.01, 0.5, 151))
+        hs = bw.values()
+        first = int(hs.searchsorted(_FIRST_RUN * hs[0], "right"))
+        reg = reg_stub(0.5, alpha=1.5 if case == "order_1" else 0.5,
+                       L2={"zero_L2": 0.0, "tiny_L2": 1e-12}.get(case, 1.0))
+        want = {"certified": [hs[:first]],
+                "tiny_L2": [hs[:first], hs]}.get(case, [hs])
+        swept, sweep = [], mean_module.inclusion_stats_over_grid
+
+        def spy(dataset, t, grid_hs, *args):
+            swept.append(np.array(grid_hs))
+            return sweep(dataset, t, grid_hs, *args)
+
+        monkeypatch.setattr(mean_module, "inclusion_stats_over_grid", spy)
+        self.check(ds, reg, noise_stub(1e-4), 0.3, BIWEIGHT, 2, bw)
+        assert len(swept) == len(want)
+        assert all(np.array_equal(g, h) for g, h in zip(swept, want))
 
     def test_benchmark_input(self, fbm_order0):
         ds, regs, noise, var = fbm_order0
